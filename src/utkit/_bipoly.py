@@ -9,6 +9,11 @@ and residual identities exact rather than approximate.
 Exponents a, b are integers of either sign; the log power j is a
 nonnegative integer.  Each log level is stored as a dense complex
 coefficient array together with its (a, b) offsets.
+
+Evaluation on the nodes r_k exp(+-2 pi i l/M) of a polar rule groups
+the terms by angular mode a - b and takes one FFT per ring (eval_rule),
+at about nnz * R + R * M log M cost; arbitrary points go through
+polyval2d (eval), at nnz cost per point.
 """
 
 from __future__ import annotations
@@ -266,6 +271,38 @@ class BiPoly:
                 pref = pref * ell ** j
             total = total + pref * val
         return complex(total) if scalar else total
+
+    def eval_rule(self, rule, conjugate=False):
+        """Values at rule.nodes(), or at their conjugates, shape (R, M).
+
+        On the ring r_k the terms of angular mode m = a - b collapse to
+        one coefficient sum_s c[m, s] r_k**s (times log(r_k)**j), and
+        on M equispaced angles mode m is indistinguishable from m mod M,
+        so each ring costs one FFT of length M whatever the mode span.
+        """
+        radii = rule.radii
+        m_count = rule.angular_count
+        logr = np.log(radii)
+        bins = np.zeros((radii.size, m_count), dtype=complex)
+        for j, (arr, amin, bmin) in self._levels.items():
+            na, nb = arr.shape
+            ia = np.arange(na)[:, None]
+            ib = np.arange(nb)[None, :]
+            # shear (a, b) into (s, m) = (a + b, a - b), both offset to 0
+            sheared = np.zeros((na + nb - 1, na + nb - 1), dtype=complex)
+            sheared[ia + ib, ia - ib + nb - 1] = arr
+            svals = np.arange(na + nb - 1) + (amin + bmin)
+            per_mode = (radii[:, None] ** svals[None, :]) @ sheared
+            if j:
+                per_mode *= (logr ** j)[:, None]
+            modes = np.arange(amin - bmin - nb + 1, amin - bmin + na) % m_count
+            for start in range(0, modes.size, m_count):
+                # M consecutive modes land in M distinct bins
+                cols = slice(start, start + m_count)
+                bins[:, modes[cols]] += per_mode[:, cols]
+        if conjugate:
+            return np.fft.fft(bins, axis=1)
+        return m_count * np.fft.ifft(bins, axis=1)
 
 
 def eval_principal(principal, z):

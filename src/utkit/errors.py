@@ -64,9 +64,5 @@ class DegreeTooLarge(UtkitError):
     """Requested form degree above the supported maximum."""
 
 
-class UnknownSuite(UtkitError):
-    """A verification suite name that is not registered."""
-
-
 class IoFailure(UtkitError):
     """Reading or writing an external file failed."""

@@ -112,15 +112,6 @@ def hyperbolic_density(p: DiskPoint) -> float:
     return 4.0 / (d * d)
 
 
-def density_array(z, domain: Domain):
-    """Vectorized hyperbolic density over plain complex samples."""
-    z = np.asarray(z, dtype=complex)
-    if domain is Domain.UPPER_HALF_PLANE:
-        return 1.0 / np.square(z.imag)
-    d = 1.0 - np.abs(z) ** 2
-    return 4.0 / np.square(d)
-
-
 def point_pair_invariant(z: DiskPoint, w: DiskPoint) -> float:
     """u(z, w) = |z-w|^2 / ((1-|z|^2)(1-|w|^2)) on disk-type domains.
 

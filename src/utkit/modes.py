@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import TruncationExceeded
 from .geometry import kernel_value_array
-from .quadrature import gauss_legendre_01, graded_panels, two_sided_panels
+from .quadrature import gauss_legendre_01, two_sided_panels
 
 _PI = math.pi
 

@@ -8,10 +8,14 @@ yields exact normalization jets for the interior conformal restriction,
 and the first dropped iterate is, identically, the Beltrami residual of
 the truncated solution.
 
-Two evaluation paths coexist on purpose: grid sampled densities go
-through windowed quadrature with a local polar patch (cauchy_transform),
-while everything feeding derivatives goes through the exact term algebra
-(beurling_transform and the solver itself).
+Grid sampled densities are transformed by windowed quadrature with a
+local polar patch (cauchy_transform); everything feeding derivatives
+goes through the exact term algebra (beurling_transform and the solver
+itself).  Term-algebra densities are evaluated by the points asked for:
+on the nodes of a polar rule (the solver's norms, residuals and grid
+samples) with one FFT per ring (BiPoly.eval_rule), at arbitrary points
+(QCMap.evaluate and derivatives, beurling_transform) with polyval2d
+(BiPoly.eval).
 """
 
 from __future__ import annotations
@@ -204,7 +208,7 @@ def _nu_from_mu(mu: BeltramiField, degrees):
 def _l2_disk(bp: BiPoly, rule: QuadRule) -> float:
     if bp.is_zero:
         return 0.0
-    vals = bp.eval(rule.nodes())
+    vals = bp.eval_rule(rule)
     total = pairwise_dot(rule.node_weights(), np.abs(vals) ** 2)
     return math.sqrt(float(np.real(total)))
 
@@ -212,7 +216,10 @@ def _l2_disk(bp: BiPoly, rule: QuadRule) -> float:
 class _SeriesState:
     """Accumulated Neumann data: w~(zeta) = zeta + interior(zeta) on the
     disk, zeta + principal tail outside, and the next iterate h, which
-    is identically the residual density of the truncation."""
+    is identically the residual density of the truncation.
+
+    grid_w_tilde and grid_residual hold w~(1/z) and the residual field
+    over the exterior nodes of the rule last passed to residual_sup."""
 
     def __init__(self, nu: BiPoly):
         self.nu = nu
@@ -221,6 +228,8 @@ class _SeriesState:
         self.h = nu
         self.terms = 0
         self.ratios = []
+        self.grid_w_tilde = None
+        self.grid_residual = None
         self._dz = None
         self._dzbar = None
 
@@ -253,29 +262,31 @@ class _SeriesState:
             self._dzbar = self.interior.dzbar()
         return self._dzbar
 
-    def residual_field(self, ext_nodes):
-        """w_zbar - mu w_z of the truncated map at exterior points,
-        via residual = -h_next(1/z) / (zbar^2 w~(1/z)^2)."""
+    def residual_sup(self, rule: QuadRule) -> float:
+        """sup |w_zbar - mu w_z| of the truncated map over the exterior
+        nodes of rule, via residual = -h_next(1/z) / (zbar^2 w~(1/z)^2);
+        1/z runs over the conjugated disk nodes and 1/zbar over the disk
+        nodes themselves."""
+        disk = rule.nodes()
+        wt = np.conj(disk) + self.interior.eval_rule(rule, conjugate=True)
         if self.h.is_zero:
-            return np.zeros(np.shape(ext_nodes), dtype=complex)
-        zeta = 1.0 / ext_nodes
-        wt = self.w_tilde(zeta)
-        return -self.h.eval(zeta) / (np.conj(ext_nodes) ** 2 * wt**2)
-
-    def residual_sup(self, ext_nodes) -> float:
-        return float(np.max(np.abs(self.residual_field(ext_nodes))))
+            field = np.zeros(disk.shape, dtype=complex)
+        else:
+            field = -self.h.eval_rule(rule, conjugate=True) * disk**2 / wt**2
+        self.grid_w_tilde, self.grid_residual = wt, field
+        return float(np.max(np.abs(field)))
 
 
-def _run_series(nu: BiPoly, sup_mu: float, tol: float, ext_nodes,
-                probe_nodes, max_terms: int) -> _SeriesState:
+def _run_series(nu: BiPoly, sup_mu: float, tol: float, rule: QuadRule,
+                probe_rule: QuadRule, max_terms: int) -> _SeriesState:
     state = _SeriesState(nu)
     norm_rule = QuadRule(24, 48)
     prev = None
     cap = min(0.95, _CONTRACTION_CAP * max(sup_mu, 1e-30))
     while True:
         hn = _l2_disk(state.h, norm_rule)
-        if hn == 0.0 or state.residual_sup(probe_nodes) <= 0.3 * tol:
-            if state.residual_sup(ext_nodes) <= tol:
+        if hn == 0.0 or state.residual_sup(probe_rule) <= 0.3 * tol:
+            if state.residual_sup(rule) <= tol:
                 return state
         if prev is not None and prev > 0.0:
             ratio = hn / prev
@@ -301,15 +312,7 @@ def _taylor_from_tail(tail, count: int):
     is how the hydrodynamic normalization at infinity turns into the
     interior jets.
     """
-    dser = np.zeros(count + 1, dtype=complex)
-    for p, t in enumerate(tail):
-        if p + 2 <= count:
-            dser[p + 2] = t
-    inv = np.zeros(count + 1, dtype=complex)
-    inv[0] = 1.0
-    for k in range(1, count + 1):
-        inv[k] = -np.dot(dser[1:k + 1], inv[k - 1::-1])
-    return inv
+    return _poly_div_trunc([1.0], np.concatenate([[1.0, 0.0], tail]), count)
 
 
 def _poly_mul_trunc(a, b, count: int):
@@ -580,12 +583,12 @@ def solve_beltrami(mu: BeltramiField, normalization: str = "ModelB",
         raise NormTooLarge(f"sup|mu| = {sup:.4f} exceeds the solver cap 0.5")
     rule = rule if rule is not None else QuadRule(64, 128)
     nu, fit_resid = _nu_from_mu(mu, fit_degrees)
-    ext_nodes = rule.nodes(Domain.EXTERIOR_DISK)
-    probe = QuadRule(12, 24).nodes(Domain.EXTERIOR_DISK)
     # Model A dressing scales the residual by |mhat' Phi'|, so leave margin
     eff_tol = tol if normalization == "ModelB" else 0.25 * tol
-    state = _run_series(nu, sup, eff_tol, ext_nodes, probe, max_terms)
-    residual = state.residual_sup(ext_nodes)
+    state = _run_series(nu, sup, eff_tol, rule, QuadRule(12, 24), max_terms)
+    # the stopping test last sampled the series on the solver rule
+    res_field = state.grid_residual
+    residual = float(np.max(np.abs(res_field)))
     c_eff = max(state.ratios) / sup if (state.ratios and sup > 0) else 0.0
 
     shell = QCMap(grid=(), mu=mu, normalization="ModelB",
@@ -593,7 +596,7 @@ def solve_beltrami(mu: BeltramiField, normalization: str = "ModelB",
                   _series=state)
     disk_nodes = rule.nodes(Domain.UNIT_DISK)
     disk_vals = shell._eval_b(disk_nodes)
-    ext_vals = shell._eval_b(ext_nodes)
+    ext_vals = 1.0 / state.grid_w_tilde
 
     if normalization == "ModelB":
         checks = _interior_jets(shell)
@@ -622,7 +625,7 @@ def solve_beltrami(mu: BeltramiField, normalization: str = "ModelB",
 
     chain = np.abs(mhat.derivative(_phi_eval(phi, ext_vals))
                    * _phi_deriv(phi, ext_vals))
-    ext_res = chain * np.abs(state.residual_field(ext_nodes))
+    ext_res = chain * np.abs(res_field)
     wa_ext = mhat.apply(_phi_eval(phi, ext_vals))
     int_res = ext_res / (np.abs(disk_nodes) ** 2 * np.abs(wa_ext) ** 2)
     residual_a = float(max(ext_res.max(), int_res.max()))

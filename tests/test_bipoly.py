@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from utkit import QuadRule
+from utkit import BeltramiField, Domain, QuadRule, solve_beltrami
 from utkit._bipoly import BiPoly, eval_principal
 from utkit.errors import NonFiniteValue
 
@@ -153,6 +153,53 @@ class TestCauchy:
              + BiPoly.from_term(0.5j, 1, 3))
         inner, _ = t.cauchy()
         assert inner.eval(0.0) == 0.0
+
+
+class TestEvalRule:
+    def test_matches_pointwise_eval(self):
+        # modes a - b spanning -12..12 or wider alias onto 8 angles;
+        # log levels and the b = -1 column ride along
+        p = random_bipoly(6, with_logcase=True)
+        p = p + BiPoly.from_term(0.5, 12, 0) + BiPoly.from_term(-0.25j, 0, 12, 2)
+        for _ in range(20):
+            p = p + BiPoly.from_term(complex(RNG.normal(), RNG.normal()),
+                                     int(RNG.integers(0, 13)),
+                                     int(RNG.integers(-1, 13)),
+                                     int(RNG.integers(0, 3)))
+        rule = QuadRule(5, 8)
+        z = rule.nodes()
+        assert p.coeff(1, -1) != 0 and p.coeff(0, 12, 2) != 0
+        scale = sum(abs(c) * np.abs(z) ** (a + b) * np.abs(np.log(np.abs(z))) ** j
+                    for c, a, b, j in p.terms())
+        for conjugate, pts in ((False, z), (True, np.conj(z))):
+            got = p.eval_rule(rule, conjugate=conjugate)
+            assert got.shape == z.shape
+            assert np.max(np.abs(got - p.eval(pts)) / scale) < 1e-13
+
+    def test_late_iterate_against_mpmath(self):
+        # the last Neumann iterate of an 8-mode sup-0.3 solve: coefficients
+        # of order 1e4-1e5 cancel to values of order 1e-11
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=8) + 1j * rng.normal(size=8)
+        mu = BeltramiField.harmonic(Domain.EXTERIOR_DISK, a)
+        mu = BeltramiField.harmonic(Domain.EXTERIOR_DISK, a * 0.3 / mu.sup_norm())
+        h = solve_beltrami(mu, "ModelB", 1e-10)._series.h
+        assert h.max_abs() > 1e4
+        rule = QuadRule(12, 24)
+        z = rule.nodes()
+        ring, poly = h.eval_rule(rule), h.eval(z)
+        terms = list(h.terms())
+        ring_err = poly_err = 0.0
+        with mpmath.workdps(40):
+            for k, l in ((11, 1), (11, 7), (10, 13), (9, 20), (6, 5), (3, 11)):
+                zz = mpmath.mpc(complex(z[k, l]))
+                zb, ell = mpmath.conj(zz), mpmath.log(abs(zz))
+                ref = complex(mpmath.fsum(mpmath.mpc(c) * zz**a * zb**b * ell**j
+                                          for c, a, b, j in terms))
+                ring_err = max(ring_err, abs(ring[k, l] - ref))
+                poly_err = max(poly_err, abs(poly[k, l] - ref))
+        assert ring_err <= poly_err
 
 
 def test_eval_principal_empty():
