@@ -60,9 +60,5 @@ class DegenerateSection(UtkitError):
     """Tangent plane arguments are linearly dependent."""
 
 
-class DegreeTooLarge(UtkitError):
-    """Requested form degree above the supported maximum."""
-
-
 class IoFailure(UtkitError):
     """Reading or writing an external file failed."""

@@ -7,12 +7,19 @@ disk through z -> 1/conj(z); the hyperbolic area form is invariant under
 that inversion, which is why one rule serves both sides.  Upper-half-plane
 integrals are pulled back through the Cayley map.
 
+Integrands singular at a point z (the resolvent kernel, the Cauchy kernel)
+use one windowed rule: the node sum is weighted by a C^2 window that
+vanishes at z, and the complementary near-diagonal part is integrated by
+a local polar patch around z whose rays stop at the unit circle.  Grid
+data is sampled on the patch nodes by bilinear interpolation in
+(r, theta).  ``integrate_double``, the grid path of ``apply_resolvent``
+and ``qc_solver.cauchy_transform`` all use it.
+
 ``apply_resolvent`` has two paths.  For callable integrands it recenters the
 singular point by a disk automorphism and integrates on a radial rule
 graded into the logarithmic singularity, reaching ~1e-10 absolute accuracy.
-For grid data it uses the masked node sum with a C^2 blending window plus a
-small local polar patch around the singular point; that path is cruder but
-works with sampled inputs.
+For grid data it uses the windowed node sum and patch rule above; that
+path is cruder but works with sampled inputs.
 """
 
 from __future__ import annotations
@@ -99,9 +106,10 @@ def two_sided_panels(a: float, b: float, interior: float, **kw):
 
 @dataclass(frozen=True)
 class DiagonalPatch:
+    """Whether windowed quadratures replace the near-diagonal cells by the
+    local polar patch rule; without it they are plain node sums."""
+
     enabled: bool = True
-    radius_factor: float = 2.0
-    node_count: int = 16
 
 
 @dataclass(frozen=True)
@@ -160,7 +168,7 @@ class QuadRule:
 
     @property
     def patch_radius(self) -> float:
-        return self.patch.radius_factor * self.spacing
+        return 2.0 * self.spacing
 
 
 @dataclass
@@ -349,122 +357,82 @@ def _smoothstep(s):
     return s * s * s * (10.0 + s * (-15.0 + 6.0 * s))
 
 
-_PATCH_ANGLES = 16
+# near-diagonal patch: radial panels in units of the ray length, graded
+# into the center where the kernels are singular, on 16 rays
+_PATCH_T, _PATCH_WT = graded_panels(0.0, 1.0, toward=0.0, levels=10,
+                                    ratio=0.25, order=4)
+_PATCH_DIRS = np.exp(1j * TWO_PI * np.arange(16) / 16)
 
 
-def _local_polar_rule(z: complex, delta: float, node_count: int):
-    """Nodes w = z + s e^{i phi} with |w - z| < delta, area weights, and the
-    complementary window 1 - eta(s / delta).
+def _local_polar_rule(z: complex, delta: float):
+    """Nodes and weights of the near-diagonal patch around z.
 
-    The radial direction uses a composite Gauss rule graded into s = 0,
-    which absorbs the logarithmic diagonal singularity of the kernel.
+    The nodes are z + s e^{i phi}, with s running over the part of
+    [0, delta] that lies inside the unit disk, so z may sit just outside
+    the circle.  The weights are the area element s ds dphi times the
+    complementary window 1 - eta(s / delta): the patch sum plus the node
+    sum windowed by eta(|w - z| / delta) is the integral over the disk.
+    The radial rule is graded into s = 0, which absorbs the logarithmic
+    and 1/s diagonal singularities of the kernels.  Rays that miss the
+    disk get zero weight.
     """
-    panels = max(4, node_count // 2)
-    sg, wg = gauss_legendre_01(2)
-    nodes, weights = [], []
-    for j in range(panels):
-        hi = delta * 0.25**j
-        lo = delta * 0.25 ** (j + 1)
-        nodes.append(lo + (hi - lo) * sg)
-        weights.append((hi - lo) * wg)
-    s = np.concatenate(nodes)
-    ws = np.concatenate(weights)
-    phis = TWO_PI * np.arange(_PATCH_ANGLES) / _PATCH_ANGLES
-    w = z + s[:, None] * np.exp(1j * phis)[None, :]
-    area = (ws * s)[:, None] * (TWO_PI / _PATCH_ANGLES) * np.ones((1, _PATCH_ANGLES))
-    window = np.broadcast_to((1.0 - _smoothstep(s / delta))[:, None], w.shape)
-    return w, area, window
+    beta = np.real(np.conj(z) * _PATCH_DIRS)
+    root = np.sqrt(np.maximum(beta * beta + 1.0 - abs(z) ** 2, 0.0))
+    lo = np.clip(-beta - root, 0.0, delta)
+    length = np.clip(-beta + root, 0.0, delta) - lo
+    # park empty rays at distance delta, away from the singularity
+    lo = np.where(length > 0.0, lo, delta)
+    s = lo[None, :] + length[None, :] * _PATCH_T[:, None]
+    w = z + s * _PATCH_DIRS[None, :]
+    area = (length[None, :] * _PATCH_WT[:, None]) * s * (TWO_PI / _PATCH_DIRS.size)
+    return w, area * (1.0 - _smoothstep(s / delta))
 
 
-def _circumcircle(p1: complex, p2: complex, p3: complex):
-    num = (abs(p1) ** 2 * (p2 - p3) + abs(p2) ** 2 * (p3 - p1)
-           + abs(p3) ** 2 * (p1 - p2))
-    den = (np.conj(p1) * (p2 - p3) + np.conj(p2) * (p3 - p1)
-           + np.conj(p3) * (p1 - p2))
-    c = num / den
-    return c, abs(p1 - c)
+def _bilinear_lookup(gf: GridFunction, pts):
+    """Sample a grid function off-node, bilinear in (r, theta).
 
-
-_PATCH_RAYS = 32
-
-
-def _grid_patch(z: complex, delta: float, sigma: MoebiusMap,
-                lookup) -> complex:
-    """Patch integral for the grid path, done in recentred coordinates.
-
-    The window region {|w - z| < delta} maps under sigma = sigma_center(z)
-    to a disk in the v-plane containing 0, clipped at the unit circle when
-    the window sticks out of the domain.  In v the combination
-    G(u(0, v)) rho(v) is a universal bounded profile, so the only data
-    dependence is the nearest-sample lookup of f along the patch nodes.
+    ``pts`` are disk positions; for exterior samples they are the mirror
+    images 1/conj(w), where the node geometry is the disk's.
     """
-    probes = [sigma.apply(z + delta), sigma.apply(z - delta),
-              sigma.apply(z + 1j * delta)]
-    c, rad = _circumcircle(*probes)
-    phis = TWO_PI * np.arange(_PATCH_RAYS) / _PATCH_RAYS
-    e = np.exp(1j * phis)
-    beta = np.real(np.conj(c) * e)
-    disc = beta * beta - (abs(c) ** 2 - rad * rad)
-    reach = np.minimum(beta + np.sqrt(np.maximum(disc, 0.0)), 1.0 - 1e-9)
-    xg, wg = gauss_legendre_01(6)
-    scales, sw = [], []
-    for j in range(14):
-        hi, lo = 0.25**j, 0.25 ** (j + 1)
-        scales.append(lo + (hi - lo) * xg)
-        sw.append((hi - lo) * wg)
-    scales = np.concatenate(scales)
-    sw = np.concatenate(sw)
-    t = reach[None, :] * scales[:, None]
-    v = t * e[None, :]
-    w = sigma.inverse().apply(v)
-    window = 1.0 - _smoothstep(np.abs(w - z) / delta)
-    tt = t * t
-    g_rho = kernel_value_array(tt / (1.0 - tt)) * (4.0 / np.square(1.0 - tt))
-    area = (reach[None, :] ** 2) * (sw * scales)[:, None] * (TWO_PI / _PATCH_RAYS)
-    return pairwise_dot(area * window, g_rho * lookup(w))
+    radii = gf.rule.radii
+    m = gf.rule.angular_count
+    r = np.abs(pts)
+    hi = np.clip(np.searchsorted(radii, r), 1, radii.size - 1)
+    lo = hi - 1
+    tr = np.clip((r - radii[lo]) / (radii[hi] - radii[lo]), 0.0, 1.0)
+    ang = np.angle(pts) * m / TWO_PI
+    j0 = np.floor(ang).astype(int) % m
+    ta = ang - np.floor(ang)
+    j1 = (j0 + 1) % m
+    v = gf.values
+    return ((1 - tr) * ((1 - ta) * v[lo, j0] + ta * v[lo, j1])
+            + tr * ((1 - ta) * v[hi, j0] + ta * v[hi, j1]))
 
 
 def _apply_resolvent_grid(f: GridFunction, z: complex, domain: Domain) -> complex:
     if f.domain is not domain:
         raise DomainMismatch("grid function domain does not match the point")
     rule = f.rule
-    nodes = f.nodes()
-    vals = f.values
-    # mirror the exterior configuration into the disk where the node
-    # geometry is uniform
+    # work on the disk, where the node geometry is uniform; exterior nodes
+    # mirror onto the disk nodes index by index
+    nodes = rule.nodes(Domain.UNIT_DISK)
     if domain is Domain.EXTERIOR_DISK:
-        nodes = 1.0 / np.conj(nodes)
         z = 0.0 if not np.isfinite(z) else 1.0 / np.conj(z)
-    dists = np.abs(nodes - z)
-    u = u_array(np.full(nodes.shape, z), nodes)
+    u = u_array(z, nodes)
     mask = u > 0.0
     g = np.zeros_like(u)
     g[mask] = kernel_value_array(u[mask])
     rho = 4.0 / np.square(1.0 - np.abs(nodes) ** 2)
     w = np.array(rule.node_weights(), dtype=float)
     if not rule.patch.enabled:
-        return pairwise_dot(np.where(mask, w * rho * g, 0.0), vals)
-    # keep the inversion pole 1/conj(z) outside the window so its image
-    # under sigma_center stays a bounded disk
+        return pairwise_dot(np.where(mask, w * rho * g, 0.0), f.values)
     delta = rule.patch_radius
-    if z != 0.0:
-        delta = min(delta, 0.8 * (1.0 - abs(z) ** 2) / abs(z))
-    eta = _smoothstep(dists / delta)
-    base = pairwise_dot(np.where(mask, w * rho * g * eta, 0.0), vals)
-
-    radii = rule.radii
-    m = rule.angular_count
-
-    def lookup(pts):
-        ring = np.clip(np.searchsorted(radii, np.abs(pts)), 0, radii.size - 1)
-        low = np.clip(ring - 1, 0, radii.size - 1)
-        ring = np.where(np.abs(radii[low] - np.abs(pts))
-                        < np.abs(radii[ring] - np.abs(pts)), low, ring)
-        ang = np.mod(np.rint(np.angle(pts) * m / TWO_PI).astype(int), m)
-        return vals[ring, ang]
-
-    sigma = MoebiusMap.sigma_center(z)
-    return base + _grid_patch(z, delta, sigma, lookup)
+    eta = _smoothstep(np.abs(nodes - z) / delta)
+    base = pairwise_dot(np.where(mask, w * rho * g * eta, 0.0), f.values)
+    pw, pweights = _local_polar_rule(z, delta)
+    g_rho = (kernel_value_array(u_array(z, pw))
+             * (4.0 / np.square(1.0 - np.abs(pw) ** 2)))
+    return base + pairwise_dot(pweights, g_rho * _bilinear_lookup(f, pw))
 
 
 def apply_resolvent(f, z: DiskPoint, rule: QuadRule | None = None, *,
@@ -505,45 +473,45 @@ def integrate_double(kernel, rule: QuadRule, domain: Domain = Domain.UNIT_DISK,
     The kernel must be vectorized in its second argument, finite off the
     diagonal, and at worst logarithmically singular on it.  For each outer
     node the near-diagonal cells are removed by the C^2 window and replaced
-    by a local polar patch rule evaluated off-grid, shrunk where needed to
-    stay inside the domain.  This is the generic O(n^2) reference path; the
-    mode-reduced engine is the fast route for rotation-symmetric kernels.
+    by the local polar patch rule, its rays cut at the unit circle.
+    Exterior integrals are pulled back to the disk through w -> 1/conj(w),
+    so the patch always sees the disk's node geometry.  This is the generic
+    O(n^2) reference path; the mode-reduced engine is the fast route for
+    rotation-symmetric kernels.
     """
     _check_measure(measure)
     _require_decay_certificate(measure, certified_decay)
-    nodes_d = rule.nodes(Domain.UNIT_DISK)
-    if domain is Domain.UNIT_DISK:
-        pts = nodes_d
-    elif domain is Domain.EXTERIOR_DISK:
-        pts = 1.0 / np.conj(nodes_d)
-    else:
+    if domain is Domain.EXTERIOR_DISK:
+        outer_kernel = kernel
+        kernel = lambda z, w: outer_kernel(1.0 / np.conj(z), 1.0 / np.conj(w))
+    elif domain is not Domain.UNIT_DISK:
         raise DomainMismatch("double integrals cover disk-type domains")
-    w = np.array(rule.node_weights(), dtype=float)
-    if measure == "hyperbolic":
-        w = w * (4.0 / np.square(1.0 - np.abs(nodes_d) ** 2))
-    elif domain is Domain.EXTERIOR_DISK:
-        w = w / np.abs(nodes_d) ** 4
-    flat_pts = pts.ravel()
-    flat_w = w.ravel()
+
+    def density(w):
+        # area density on the disk: hyperbolic, Euclidean, or the Euclidean
+        # form of the exterior pulled back through the inversion
+        if measure == "hyperbolic":
+            return 4.0 / np.square(1.0 - np.abs(w) ** 2)
+        if domain is Domain.EXTERIOR_DISK:
+            return 1.0 / np.abs(w) ** 4
+        return np.ones(np.shape(w))
+
+    flat_pts = rule.nodes(Domain.UNIT_DISK).ravel()
+    flat_w = np.array(rule.node_weights(), dtype=float).ravel() * density(flat_pts)
+    delta = rule.patch_radius
     totals = np.empty(flat_pts.size, dtype=complex)
     for i, zi in enumerate(flat_pts):
         kv = np.asarray(kernel(zi, flat_pts), dtype=complex)
-        dist = np.abs(flat_pts - zi)
         if rule.patch.enabled:
             # diagonal cell replaced by the local patch rule
+            dist = np.abs(flat_pts - zi)
             kv = np.where(dist == 0.0, 0.0, kv)
             check_finite(kv, "double-integral kernel row")
-            delta = min(rule.patch_radius, 0.9 * abs(abs(zi) - 1.0))
-            eta = _smoothstep(dist / delta)
-            inner = tree_sum(flat_w * kv * eta)
-            pw, parea, pwin = _local_polar_rule(zi, delta, rule.patch.node_count)
+            inner = tree_sum(flat_w * kv * _smoothstep(dist / delta))
+            pw, pweights = _local_polar_rule(zi, delta)
             pk = np.asarray(kernel(zi, pw), dtype=complex)
             check_finite(pk, "double-integral patch row")
-            if measure == "hyperbolic":
-                pmeas = 4.0 / np.square(1.0 - np.abs(pw) ** 2)
-            else:
-                pmeas = np.ones(pw.shape)
-            inner = inner + pairwise_dot(parea * pwin, pk * pmeas)
+            inner = inner + pairwise_dot(pweights * density(pw), pk)
         else:
             # plain nested sum; the kernel must be finite on the diagonal
             check_finite(kv, "double-integral kernel row")

@@ -41,6 +41,33 @@ def _as_coeff_array(values) -> np.ndarray:
     return arr
 
 
+def _coeffs_to_json(domain: Domain, coeffs: np.ndarray, truncation: int) -> str:
+    return json.dumps({
+        "domain": domain.value,
+        "truncation": truncation,
+        "re": [float(v) for v in coeffs.real],
+        "im": [float(v) for v in coeffs.imag],
+    })
+
+
+def _coeffs_from_json(text: str, *, size_offset: int):
+    """(domain, coefficients) of a blob whose truncation is the vector
+    size minus ``size_offset``."""
+    try:
+        blob = json.loads(text)
+        domain = Domain(blob["domain"])
+        re = np.asarray(blob["re"], dtype=float)
+        im = np.asarray(blob["im"], dtype=float)
+        truncation = int(blob["truncation"])
+    except (KeyError, ValueError, TypeError) as exc:
+        raise IoFailure(f"malformed coefficient blob: {exc}") from exc
+    if re.shape != im.shape or re.ndim != 1:
+        raise IoFailure("coefficient blob arrays disagree")
+    if truncation != re.size - size_offset:
+        raise IoFailure("coefficient blob truncation mismatch")
+    return domain, re + 1j * im
+
+
 @dataclass(frozen=True)
 class HoloCoeffs:
     """Truncated holomorphic function in one of the two power conventions."""
@@ -103,27 +130,11 @@ class HoloCoeffs:
         return math.sqrt(self.l2_norm_sq())
 
     def to_json(self) -> str:
-        return json.dumps({
-            "domain": self.domain.value,
-            "truncation": self.truncation,
-            "re": [float(v) for v in self.coeffs.real],
-            "im": [float(v) for v in self.coeffs.imag],
-        })
+        return _coeffs_to_json(self.domain, self.coeffs, self.truncation)
 
     @classmethod
     def from_json(cls, text: str) -> "HoloCoeffs":
-        try:
-            blob = json.loads(text)
-            domain = Domain(blob["domain"])
-            re = np.asarray(blob["re"], dtype=float)
-            im = np.asarray(blob["im"], dtype=float)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise IoFailure(f"malformed coefficient blob: {exc}") from exc
-        if re.shape != im.shape or re.ndim != 1:
-            raise IoFailure("coefficient blob arrays disagree")
-        if int(blob["truncation"]) != re.size - 1:
-            raise IoFailure("coefficient blob truncation mismatch")
-        return cls(domain, re + 1j * im)
+        return cls(*_coeffs_from_json(text, size_offset=1))
 
 
 def holo_quadratic_l2_quadrature(phi: HoloCoeffs, rule: QuadRule | None = None) -> float:
@@ -264,27 +275,11 @@ class BeltramiField:
     def to_json(self) -> str:
         if not self.is_harmonic:
             raise DomainMismatch("only harmonic fields serialize to coefficients")
-        return json.dumps({
-            "domain": self.domain.value,
-            "truncation": self.truncation,
-            "re": [float(v) for v in self.a.real],
-            "im": [float(v) for v in self.a.imag],
-        })
+        return _coeffs_to_json(self.domain, self.a, self.truncation)
 
     @classmethod
     def from_json(cls, text: str) -> "BeltramiField":
-        try:
-            blob = json.loads(text)
-            domain = Domain(blob["domain"])
-            re = np.asarray(blob["re"], dtype=float)
-            im = np.asarray(blob["im"], dtype=float)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise IoFailure(f"malformed coefficient blob: {exc}") from exc
-        if re.shape != im.shape or re.ndim != 1:
-            raise IoFailure("coefficient blob arrays disagree")
-        if int(blob["truncation"]) != re.size:
-            raise IoFailure("coefficient blob truncation mismatch")
-        return cls.harmonic(domain, re + 1j * im)
+        return cls.harmonic(*_coeffs_from_json(text, size_offset=0))
 
 
 def basis_mu(n: int, count: int) -> BeltramiField:

@@ -211,6 +211,29 @@ class TestSolveBeltrami:
             assert qc.normalizationChecks[name] < 1e-8
         assert qc.residualNorm < 1e-9
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_model_a_riemann_fit_stops_at_its_floor(self, seed, monkeypatch):
+        # eight-mode fields whose exterior Riemann fit reaches a ~5e-12
+        # floor in a few Newton steps; each further step is a wasted lstsq
+        rng = np.random.default_rng(seed)
+        mu = lambda_map(HoloCoeffs(Domain.UNIT_DISK,
+                                   rng.normal(size=8) + 1j * rng.normal(size=8)))
+        mu = mu.scaled(0.1 / mu.sup_norm())
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        qc = solve_beltrami(mu, "ModelA")
+        assert len(calls) <= 8
+        for name in ("w(-1)+1", "w(-i)+i", "w(1)-1"):
+            assert qc.normalizationChecks[name] < 1e-8
+        assert qc.normalizationChecks["phiResidual"] < 1e-10
+        assert qc.residualNorm < 1e-8
+
     def test_model_a_reflection_symmetry(self):
         mu = harmonic([0.08 * A2_UNIT, 0.05 * A2_UNIT * 1j])
         qc = solve_beltrami(mu, "ModelA", 1e-9, rule=QuadRule(24, 48))

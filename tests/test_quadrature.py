@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from utkit.modes import (
     mode_table,
     pair_profiles,
 )
+from utkit.qc_solver import cauchy_transform
 from utkit.quadrature import (
     DiagonalPatch,
     GridFunction,
@@ -273,6 +275,63 @@ class TestDoubleIntegral:
         table = mode_table(4)
         exact = pair_profiles(table, 0, prof, prof)
         assert abs(coarse - exact) / abs(exact) < 2e-2
+
+
+class TestNearDiagonalPatch:
+    """One polar patch rule, its rays cut at the unit circle, serves
+    integrate_double, the grid resolvent and cauchy_transform."""
+
+    @staticmethod
+    def pairing_kernel(prof, p):
+        # (prof e^{i p theta})(z) G(z, w) conj of the same at w
+        def kern(z, w):
+            u = np.abs(z - w) ** 2 / ((1 - abs(z) ** 2) * (1 - np.abs(w) ** 2))
+            g = np.zeros_like(u)
+            m = u > 0
+            g[m] = kernel_value_array(u[m])
+            return (prof(abs(z)) * np.exp(1j * p * np.angle(z)) * g
+                    * prof(np.abs(w)) * np.exp(-1j * p * np.angle(w)))
+        return kern
+
+    def test_cauchy_transform_just_outside_the_circle(self):
+        # inside the patch radius (0.196 here) but outside the disk, where
+        # the transforms of 1 and zbar are 1/z and 1/(2 z^2)
+        rule = QuadRule(32, 64)
+        one = GridFunction.from_callable(np.ones_like, rule, Domain.UNIT_DISK)
+        zb = GridFunction.from_callable(np.conj, rule, Domain.UNIT_DISK)
+        for z in (1.01, 1.03):
+            assert abs(cauchy_transform(one, z) - 1.0 / z) < 2e-4
+            assert abs(cauchy_transform(zb, z) - 0.5 / z**2) < 2e-4
+
+    def test_double_integral_angular_mode(self):
+        prof = lambda r: (1 - r**2) ** 4 * r**3
+        val = integrate_double(self.pairing_kernel(prof, 3), QuadRule(24, 48))
+        exact = pair_profiles(mode_table(4), 3, prof, prof)
+        assert abs(val - exact) / abs(exact) < 2e-3
+
+    def test_double_integral_exterior_pullback(self):
+        # G is inversion invariant, so the mirrored pairing is the disk's
+        prof = lambda r: (1 - r**2) ** 2
+        disk = self.pairing_kernel(prof, 0)
+        mirrored = lambda z, w: disk(1 / np.conj(z), 1 / np.conj(w))
+        val = integrate_double(mirrored, QuadRule(24, 48), Domain.EXTERIOR_DISK)
+        exact = pair_profiles(mode_table(4), 0, prof, prof)
+        assert abs(val - exact) / abs(exact) < 1e-2
+
+    def test_no_floating_point_warnings_at_the_circle(self):
+        rule = QuadRule(32, 64)
+        gf = GridFunction.from_callable(ones, rule, Domain.UNIT_DISK)
+        outer = QuadRule(38, 8)
+        assert np.max(np.abs(outer.nodes())) >= 0.999
+        kern = self.pairing_kernel(lambda r: (1 - r**2) ** 2, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for angle in (0.0, 0.3):
+                z = 0.999 * np.exp(1j * angle)
+                assert np.isfinite(apply_resolvent(gf, DiskPoint.disk(z)))
+                assert np.isfinite(cauchy_transform(gf, z))
+                assert np.isfinite(cauchy_transform(gf, z * 1.001 / 0.999))
+            assert np.isfinite(integrate_double(kern, outer))
 
 
 class TestModeEngine:
