@@ -7,26 +7,25 @@ import numpy as np
 from .errors import NonFiniteValue
 
 
-def tree_sum(values) -> complex:
-    """Sum an array by pairwise folding over a fixed power-of-two shape.
+def tree_sum(values):
+    """Sum along the last axis by pairwise folding over a power-of-two length.
 
-    The reduction tree depends only on the input length, so results are
-    bit-reproducible run to run and independent of chunking.
+    The reduction tree depends only on the length of that axis, so results
+    are bit-reproducible run to run, and each row of a 2-D block sums bit
+    for bit as the same row would alone.
     """
-    a = np.asarray(values).ravel()
-    if a.size == 0:
-        return a.dtype.type(0) if a.dtype.kind in "fc" else 0.0
+    a = np.asarray(values)
     n = 1
-    while n < a.size:
+    while n < a.shape[-1]:
         n *= 2
-    if n != a.size:
-        b = np.zeros(n, dtype=a.dtype)
-        b[: a.size] = a
+    if n != a.shape[-1]:
+        b = np.zeros(a.shape[:-1] + (n,), dtype=a.dtype)
+        b[..., : a.shape[-1]] = a
         a = b
-    while a.size > 1:
-        half = a.size // 2
-        a = a[:half] + a[half:]
-    return a[0]
+    while a.shape[-1] > 1:
+        half = a.shape[-1] // 2
+        a = a[..., :half] + a[..., half:]
+    return a[..., 0]
 
 
 def check_finite(values, what: str = "value"):
@@ -40,4 +39,4 @@ def pairwise_dot(weights, values) -> complex:
     """tree_sum of an elementwise product, with a finiteness check."""
     prod = np.asarray(weights) * np.asarray(values)
     check_finite(prod, "integrand sample")
-    return tree_sum(prod)
+    return tree_sum(prod.ravel())

@@ -67,18 +67,19 @@ def mode_kernel_point(r: float, s: float, p: int,
     return float(2.0 * np.dot(wpsi, g * np.cos(p * psi)))
 
 
+def _rho(x):
+    return 4.0 / np.square(1.0 - np.square(x))
+
+
 @dataclass
 class ModeTable:
     config: EngineConfig
     p_max: int
-    r: np.ndarray        # (n_outer,)
-    wr: np.ndarray       # (n_outer,)
-    s: np.ndarray        # (n_outer, n_inner)
-    sw: np.ndarray       # (n_outer, n_inner)
-    ghat: np.ndarray     # (n_outer, n_inner, p_max + 1)
-
-    def rho(self, x):
-        return 4.0 / np.square(1.0 - np.square(x))
+    r: np.ndarray              # (n_outer,)
+    s: np.ndarray              # (n_outer, n_inner)
+    outer_measure: np.ndarray  # wr r rho(r), (n_outer,)
+    inner_measure: np.ndarray  # sw s rho(s), (n_outer, n_inner)
+    ghat: np.ndarray           # (p_max + 1, n_outer, n_inner)
 
 
 def _build_table(p_max: int, config: EngineConfig) -> ModeTable:
@@ -89,20 +90,18 @@ def _build_table(p_max: int, config: EngineConfig) -> ModeTable:
     cosmat = np.cos(np.outer(psi, np.arange(p_max + 1)))  # (n_psi, P+1)
     proj = 2.0 * (wpsi[:, None] * cosmat)
     sin_half_sq = np.sin(0.5 * psi) ** 2
-    s_all, sw_all, ghat_all = [], [], []
-    for ri in r:
-        s, sw = two_sided_panels(0.0, 1.0, ri, levels=config.inner_levels,
-                                 ratio=0.25, order=config.inner_order)
-        delta = s - ri
-        u = (np.square(delta)[:, None]
-             + (4.0 * ri * s)[:, None] * sin_half_sq[None, :])
-        u /= ((1.0 - ri * ri) * (1.0 - np.square(s)))[:, None]
-        g = kernel_value_array(u)
-        ghat_all.append(g @ proj)
-        s_all.append(s)
-        sw_all.append(sw)
-    return ModeTable(config, p_max, r, wr, np.array(s_all), np.array(sw_all),
-                     np.array(ghat_all))
+    rules = [two_sided_panels(0.0, 1.0, ri, levels=config.inner_levels,
+                              ratio=0.25, order=config.inner_order) for ri in r]
+    s = np.array([nodes for nodes, _ in rules])
+    sw = np.array([weights for _, weights in rules])
+    ghat = np.empty((p_max + 1,) + s.shape)
+    for i, ri in enumerate(r):
+        u = (np.square(s[i] - ri)[:, None]
+             + (4.0 * ri * s[i])[:, None] * sin_half_sq[None, :])
+        u /= ((1.0 - ri * ri) * (1.0 - np.square(s[i])))[:, None]
+        ghat[:, i, :] = (kernel_value_array(u) @ proj).T
+    return ModeTable(config, p_max, r, s, wr * r * _rho(r), sw * s * _rho(s),
+                     ghat)
 
 
 _TABLE_CACHE: dict[EngineConfig, ModeTable] = {}
@@ -122,7 +121,7 @@ def _mode_slice(table: ModeTable, p: int) -> np.ndarray:
     if q > table.p_max:
         raise TruncationExceeded(
             f"mode {q} beyond tabulated cap {table.p_max}")
-    return table.ghat[:, :, q]
+    return table.ghat[q]
 
 
 def pair_profiles(table: ModeTable, p: int, profile_a, profile_b) -> complex:
@@ -134,9 +133,8 @@ def pair_profiles(table: ModeTable, p: int, profile_a, profile_b) -> complex:
     ghat = _mode_slice(table, p)
     a_vals = np.asarray(profile_a(table.r), dtype=complex)
     b_vals = np.conj(np.asarray(profile_b(table.s), dtype=complex))
-    inner = np.sum(table.sw * table.s * table.rho(table.s) * b_vals * ghat,
-                   axis=1)
-    outer = table.wr * table.r * table.rho(table.r) * a_vals * inner
+    inner = np.sum(table.inner_measure * b_vals * ghat, axis=1)
+    outer = table.outer_measure * a_vals * inner
     return complex(2.0 * _PI * np.sum(outer))
 
 
@@ -148,5 +146,4 @@ def gfield_radial(table: ModeTable, q: int, profile_b) -> np.ndarray:
     """
     ghat = _mode_slice(table, q)
     b_vals = np.asarray(profile_b(table.s), dtype=complex)
-    return np.sum(table.sw * table.s * table.rho(table.s) * b_vals * ghat,
-                  axis=1)
+    return np.sum(table.inner_measure * b_vals * ghat, axis=1)

@@ -364,7 +364,7 @@ _PATCH_T, _PATCH_WT = graded_panels(0.0, 1.0, toward=0.0, levels=10,
 _PATCH_DIRS = np.exp(1j * TWO_PI * np.arange(16) / 16)
 
 
-def _local_polar_rule(z: complex, delta: float):
+def _local_polar_rule(z, delta: float):
     """Nodes and weights of the near-diagonal patch around z.
 
     The nodes are z + s e^{i phi}, with s running over the part of
@@ -374,17 +374,22 @@ def _local_polar_rule(z: complex, delta: float):
     sum windowed by eta(|w - z| / delta) is the integral over the disk.
     The radial rule is graded into s = 0, which absorbs the logarithmic
     and 1/s diagonal singularities of the kernels.  Rays that miss the
-    disk get zero weight.
+    disk get zero weight.  A scalar z gives (radial, ray) arrays; an array
+    of centers becomes their leading axes.
     """
+    z = np.asarray(z)[..., None]
     beta = np.real(np.conj(z) * _PATCH_DIRS)
-    root = np.sqrt(np.maximum(beta * beta + 1.0 - abs(z) ** 2, 0.0))
+    # hypot is the scalar abs(z) bit for bit; np.abs on arrays is not
+    root = np.sqrt(np.maximum(beta * beta + 1.0 - np.hypot(z.real, z.imag) ** 2,
+                              0.0))
     lo = np.clip(-beta - root, 0.0, delta)
     length = np.clip(-beta + root, 0.0, delta) - lo
     # park empty rays at distance delta, away from the singularity
-    lo = np.where(length > 0.0, lo, delta)
-    s = lo[None, :] + length[None, :] * _PATCH_T[:, None]
-    w = z + s * _PATCH_DIRS[None, :]
-    area = (length[None, :] * _PATCH_WT[:, None]) * s * (TWO_PI / _PATCH_DIRS.size)
+    lo = np.where(length > 0.0, lo, delta)[..., None, :]
+    length = length[..., None, :]
+    s = lo + length * _PATCH_T[:, None]
+    w = z[..., None] + s * _PATCH_DIRS
+    area = (length * _PATCH_WT[:, None]) * s * (TWO_PI / _PATCH_DIRS.size)
     return w, area * (1.0 - _smoothstep(s / delta))
 
 
@@ -465,17 +470,24 @@ def apply_resolvent(f, z: DiskPoint, rule: QuadRule | None = None, *,
 # double integrals
 # ---------------------------------------------------------------------------
 
+# kernel entries per block of outer nodes in integrate_double
+_DOUBLE_BLOCK = 1 << 15
+
+
 def integrate_double(kernel, rule: QuadRule, domain: Domain = Domain.UNIT_DISK,
                      measure: str = "hyperbolic", *,
                      certified_decay: bool = True) -> complex:
     """Double integral of kernel(z, w) over domain x domain.
 
-    The kernel must be vectorized in its second argument, finite off the
-    diagonal, and at worst logarithmically singular on it.  For each outer
-    node the near-diagonal cells are removed by the C^2 window and replaced
-    by the local polar patch rule, its rays cut at the unit circle.
-    Exterior integrals are pulled back to the disk through w -> 1/conj(w),
-    so the patch always sees the disk's node geometry.  This is the generic
+    The kernel must broadcast like a ufunc over both arguments, be finite
+    off the diagonal, and be at worst logarithmically singular on it.  Outer
+    nodes are taken in blocks of about 2^15 kernel entries: each block calls
+    the kernel once on (outer column) x (all nodes) and, with the patch on,
+    once on (outer column) x (its patch nodes).  For each outer node the
+    near-diagonal cells are removed by the C^2 window and replaced by the
+    local polar patch rule, its rays cut at the unit circle.  Exterior
+    integrals are pulled back to the disk through w -> 1/conj(w), so the
+    patch always sees the disk's node geometry.  This is the generic
     O(n^2) reference path; the mode-reduced engine is the fast route for
     rotation-symmetric kernels.
     """
@@ -499,22 +511,26 @@ def integrate_double(kernel, rule: QuadRule, domain: Domain = Domain.UNIT_DISK,
     flat_pts = rule.nodes(Domain.UNIT_DISK).ravel()
     flat_w = np.array(rule.node_weights(), dtype=float).ravel() * density(flat_pts)
     delta = rule.patch_radius
+    rows = max(1, _DOUBLE_BLOCK // flat_pts.size)
     totals = np.empty(flat_pts.size, dtype=complex)
-    for i, zi in enumerate(flat_pts):
-        kv = np.asarray(kernel(zi, flat_pts), dtype=complex)
+    for start in range(0, flat_pts.size, rows):
+        z = flat_pts[start:start + rows]
+        kv = np.asarray(kernel(z[:, None], flat_pts[None, :]), dtype=complex)
         if rule.patch.enabled:
-            # diagonal cell replaced by the local patch rule
-            dist = np.abs(flat_pts - zi)
+            # diagonal cells replaced by the local patch rule
+            dist = np.abs(flat_pts[None, :] - z[:, None])
             kv = np.where(dist == 0.0, 0.0, kv)
-            check_finite(kv, "double-integral kernel row")
+            check_finite(kv, "double-integral kernel block")
             inner = tree_sum(flat_w * kv * _smoothstep(dist / delta))
-            pw, pweights = _local_polar_rule(zi, delta)
-            pk = np.asarray(kernel(zi, pw), dtype=complex)
-            check_finite(pk, "double-integral patch row")
-            inner = inner + pairwise_dot(pweights * density(pw), pk)
+            pw, pweights = _local_polar_rule(z, delta)
+            pk = np.asarray(kernel(z[:, None, None], pw), dtype=complex)
+            check_finite(pk, "double-integral patch block")
+            patch = pweights * density(pw) * pk
+            check_finite(patch, "integrand sample")
+            inner = inner + tree_sum(patch.reshape(z.size, -1))
         else:
             # plain nested sum; the kernel must be finite on the diagonal
-            check_finite(kv, "double-integral kernel row")
+            check_finite(kv, "double-integral kernel block")
             inner = tree_sum(flat_w * kv)
-        totals[i] = inner
+        totals[start:start + rows] = inner
     return pairwise_dot(flat_w, totals)

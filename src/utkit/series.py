@@ -341,29 +341,23 @@ def d0_beta(mu: BeltramiField, truncation: int | None = None, *,
     if method == "closed":
         raise DomainMismatch("closed form needs a harmonic field")
     n_out = truncation if truncation is not None else 15
-    rule = rule or (mu.grid.rule if not mu.is_harmonic else QuadRule())
     if mu.is_harmonic:
-        sampler = lambda z: mu(z)
+        # sampled once per rule; the finer rule gates the moments
+        rule = rule or QuadRule()
+        grids = [GridFunction.from_callable(mu, r, mu.domain) for r in (
+            rule, QuadRule(rule.radial_nodes + 16, rule.angular_count))]
     else:
-        vals = mu.grid.values
-        sampler = None
+        grids = [mu.grid]
+    nodes = [g.nodes() for g in grids]
     coeffs = np.empty(n_out + 1, dtype=complex)
     for k in range(n_out + 1):
-        if sampler is not None:
-            f = lambda z, kk=k: sampler(z) * z ** (-kk - 4.0)
-            mk = integrate_exterior(f, rule)
-            mk_fine = integrate_exterior(f, QuadRule(rule.radial_nodes + 16,
-                                                     rule.angular_count))
-            if abs(mk - mk_fine) > 1e-8 * (1.0 + abs(mk_fine)):
-                raise QuadratureFailure(
-                    f"moment {k} did not converge: {abs(mk - mk_fine):.3e}")
-            mk = mk_fine
-        else:
-            nodes = mu.grid.nodes()
-            f_grid = GridFunction(mu.grid.rule, mu.domain,
-                                  vals * nodes ** (-k - 4.0))
-            mk = integrate_exterior(f_grid)
-        coeffs[k] = -(6.0 / math.pi) * math.comb(k + 3, 3) * mk
+        mk = [integrate_exterior(GridFunction(g.rule, g.domain,
+                                              g.values * z ** (-k - 4.0)))
+              for g, z in zip(grids, nodes)]
+        if abs(mk[0] - mk[-1]) > 1e-8 * (1.0 + abs(mk[-1])):
+            raise QuadratureFailure(
+                f"moment {k} did not converge: {abs(mk[0] - mk[-1]):.3e}")
+        coeffs[k] = -(6.0 / math.pi) * math.comb(k + 3, 3) * mk[-1]
     return HoloCoeffs(Domain.UNIT_DISK, coeffs)
 
 

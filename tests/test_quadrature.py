@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from utkit._util import tree_sum
 from utkit.errors import DomainMismatch, IoFailure, NonFiniteValue, QuadratureFailure, TruncationExceeded
 from utkit.geometry import DiskPoint, Domain, kernel_value, kernel_value_array
 from utkit.modes import (
@@ -18,6 +19,7 @@ from utkit.quadrature import (
     DiagonalPatch,
     GridFunction,
     QuadRule,
+    _local_polar_rule,
     apply_resolvent,
     gauss_radial,
     integrate_disk,
@@ -276,6 +278,24 @@ class TestDoubleIntegral:
         exact = pair_profiles(table, 0, prof, prof)
         assert abs(coarse - exact) / abs(exact) < 2e-2
 
+    def test_kernel_called_per_block_of_outer_nodes(self):
+        calls = []
+
+        def kern(z, w):
+            calls.append(1)
+            return (1 - np.abs(z) ** 2) ** 2 * (1 - np.abs(w) ** 2) ** 2
+
+        integrate_double(kern, QuadRule(24, 48))
+        assert len(calls) <= 100
+
+    def test_row_sums_of_a_block_match_single_rows(self):
+        rng = np.random.default_rng(5)
+        block = rng.standard_normal((28, 1152)) + 1j * rng.standard_normal((28, 1152))
+        sums = tree_sum(block)
+        assert sums.shape == (28,)
+        rows = np.array([tree_sum(row) for row in block])
+        assert np.array_equal(sums, rows)
+
 
 class TestNearDiagonalPatch:
     """One polar patch rule, its rays cut at the unit circle, serves
@@ -317,6 +337,17 @@ class TestNearDiagonalPatch:
         val = integrate_double(mirrored, QuadRule(24, 48), Domain.EXTERIOR_DISK)
         exact = pair_profiles(mode_table(4), 0, prof, prof)
         assert abs(val - exact) / abs(exact) < 1e-2
+
+    def test_patch_rule_on_an_array_of_centers(self):
+        # inside, on, just outside and beyond the circle: rays cut at the
+        # circle and rays that miss the disk
+        centers = np.array([0.0, 0.5 * np.exp(0.3j), 0.999,
+                            1.01 * np.exp(0.7j), 1.3])
+        delta = QuadRule(24, 48).patch_radius
+        pw, weights = _local_polar_rule(centers, delta)
+        single = [_local_polar_rule(z, delta) for z in centers]
+        assert np.array_equal(pw, np.stack([w for w, _ in single]))
+        assert np.array_equal(weights, np.stack([a for _, a in single]))
 
     def test_no_floating_point_warnings_at_the_circle(self):
         rule = QuadRule(32, 64)

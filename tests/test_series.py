@@ -275,6 +275,21 @@ class TestTransforms:
         quad = d0_beta(mu, truncation=6, method="quadrature")
         assert np.allclose(quad.coeffs, closed.coeffs, rtol=1e-10, atol=1e-12)
 
+    def test_quadrature_route_samples_mu_once_per_rule(self, monkeypatch):
+        # the moments come from two samplings of mu, not from one
+        # evaluation per moment and rule
+        calls = []
+        call = BeltramiField.__call__
+
+        def counted(self, z):
+            calls.append(1)
+            return call(self, z)
+
+        monkeypatch.setattr(BeltramiField, "__call__", counted)
+        mu = BeltramiField.harmonic(Domain.EXTERIOR_DISK, 0.1 * np.arange(1, 6))
+        d0_beta(mu, method="quadrature")
+        assert len(calls) <= 2
+
     def test_sampled_field_d0_beta(self):
         mu = random_field(4)
         samp = BeltramiField.sampled(GridFunction.from_callable(
