@@ -1,149 +1,148 @@
-"""Mode-reduced pairings against the resolvent kernel.
+"""Mode-reduced pairings against the resolvent kernel, in closed form.
 
-For fields of the form A(r) e^{i p theta} on the disk, the angular integrals
-in a double pairing against the rotation-invariant kernel collapse: with
-
-    Ghat_p(r, s) = 2 * int_0^pi G(u(r, s, psi)) cos(p psi) dpsi,
-
-the pairing (a, G b) of a = A(r) e^{i p theta} with b = B(r) e^{i q theta}
-vanishes unless p = q, and otherwise equals
-
-    2 pi * int int A(r) conj(B(s)) Ghat_p(r, s) rho(r) rho(s) r s dr ds.
-
-Tables of Ghat_p on a product of an outer radial rule and inner per-node
-rules graded toward the diagonal are built once per mode cap and cached.
-The psi rule grades geometrically into the logarithmic corner at psi = 0
-and is additionally subdivided so no panel spans more than a fraction of an
-oscillation of cos(p_max psi).
+On angular mode p the kernel G of D = -2 (Delta_0 - 2)^-1 reduces to
+Ghat_p(r, s) = int_0^{2 pi} G(r, s e^{i psi}) e^{i p psi} dpsi
+= 2 phi_p(min(r, s)) psi_p(max(r, s)), with phi_p = r^p ((1 + p) +
+(1 - p) r^2) / (1 - r^2) regular at 0 and, in t = -log r, psi_p =
+(p cosh(p t) - coth(t) sinh(p t)) / (p (p^2 - 1)) decaying at the circle
+(psi_0 = t coth(t) - 1 and psi_1 = (sinh(2 t) - 2 t) / (4 sinh(t))).
+With a = A rho r and b = conj(B) rho s, the pairing of A e^{i p theta}
+with B e^{i p theta} is 4 pi int psi_p (a int_0^r phi_p b + b int_0^r phi_p a):
+cumulative radial sums, the semi-separable Green's function scheme of
+Greengard and Rokhlin (Comm. Pure Appl. Math. 44, 1991), O(n) per pairing
+and no kernel table.  phi_p(s) psi_p(r) is taken as (s/r)^p times factors
+bounded by 1, so r^-p never overflows; near r = 1, where the closed forms
+cancel, psi_p is a short series in t.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import TruncationExceeded
-from .geometry import kernel_value_array
-from .quadrature import gauss_legendre_01, two_sided_panels
+from .quadrature import gauss_legendre_01
 
-_PI = math.pi
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    outer_nodes: int = 64
-    inner_levels: int = 20
-    inner_order: int = 8
-    psi_levels: int = 20
-    psi_order: int = 10
-    oscillation_factor: float = 1.2
+_OUTER_NODES = 64
+_ORDER = 8
+# panel ends grade geometrically from these floors, by these ratios, out to
+# distance 0.05 from 0 and from 1, where the outer radii take over
+_FLOOR_0, _GRADING_0 = 1e-6, 2.0
+_FLOOR_1, _GRADING_1 = 1e-8, 1.5
 
 
-def psi_rule(p_max: int, config: EngineConfig = EngineConfig()):
-    """Angular rule on [0, pi]: graded into 0, capped for oscillation."""
-    width_cap = _PI / (config.oscillation_factor * max(p_max, 1))
-    cuts = [_PI * 0.25**j for j in range(config.psi_levels, -1, -1)]
-    xg, wg = gauss_legendre_01(config.psi_order)
-    nodes, weights = [], []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        pieces = max(1, math.ceil((hi - lo) / width_cap))
-        edges = np.linspace(lo, hi, pieces + 1)
-        for left, right in zip(edges[:-1], edges[1:]):
-            h = right - left
-            nodes.append(left + h * xg)
-            weights.append(h * wg)
-    return np.concatenate(nodes), np.concatenate(weights)
+def _psi_scaled(q: int, x) -> np.ndarray:
+    """r^q psi_q(r), bounded on (0, 1]; a series of positive terms in t
+    where max(q, 1) t < 1, since psi_q sinh(t) = sum_m c_m t^(2m+1) / (2m+1)!
+    with c_m = ((q+1)^(2m) - (q-1)^(2m)) / (2q), and c_m = 2m at q = 0."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    t = -np.log(x)
+    near = max(q, 1) * t < 1.0
+    tn, tf, xf = t[near], t[~near], x[~near]
+    series = [(((q + 1) ** (2 * m) - (q - 1) ** (2 * m)) // (2 * q) if q else 2 * m)
+              / math.factorial(2 * m + 1) for m in range(1, 15)]
+    out = np.empty_like(t)
+    out[near] = (np.exp(-q * tn) * tn ** 3 / np.sinh(tn)
+                 * np.polynomial.polynomial.polyval(tn * tn, series))
+    coth = 1.0 + 2.0 * xf * xf / ((1.0 - xf) * (1.0 + xf))
+    e = np.exp(-2.0 * max(q, 1) * tf)
+    out[~near] = (tf * coth - 1.0 if q == 0 else
+                  (1.0 - e * e - 4.0 * tf * e) / (4.0 * (1.0 - e)) if q == 1 else
+                  (q * (1.0 + e) - coth * (1.0 - e)) / (2.0 * q * (q * q - 1.0)))
+    return out
 
 
-def mode_kernel_point(r: float, s: float, p: int,
-                      config: EngineConfig = EngineConfig()) -> float:
-    """Single Ghat_p(r, s) by direct graded quadrature; for checks."""
-    psi, wpsi = psi_rule(abs(p), config)
-    u = ((s - r) ** 2 + 4.0 * r * s * np.sin(0.5 * psi) ** 2) / (
-        (1.0 - r * r) * (1.0 - s * s))
-    g = kernel_value_array(u)
-    return float(2.0 * np.dot(wpsi, g * np.cos(p * psi)))
+def _phi_scaled(q: int, x) -> np.ndarray:
+    return 2.0 / ((1.0 - x) * (1.0 + x)) + (q - 1.0)   # r^-q phi_q(r)
 
 
-def _rho(x):
-    return 4.0 / np.square(1.0 - np.square(x))
+def mode_kernel(p: int, r, s) -> np.ndarray:
+    """Ghat_p(r, s) = 2 phi_p(min(r, s)) psi_p(max(r, s)), for 0 < r, s < 1."""
+    lo, hi = np.minimum(r, s), np.maximum(r, s)
+    return 2.0 * (lo / hi) ** abs(p) * _phi_scaled(abs(p), lo) * _psi_scaled(abs(p), hi)
 
 
-@dataclass
 class ModeTable:
-    config: EngineConfig
-    p_max: int
-    r: np.ndarray              # (n_outer,)
-    s: np.ndarray              # (n_outer, n_inner)
-    outer_measure: np.ndarray  # wr r rho(r), (n_outer,)
-    inner_measure: np.ndarray  # sw s rho(s), (n_outer, n_inner)
-    ghat: np.ndarray           # (p_max + 1, n_outer, n_inner)
+    """The radial rule of the mode engine and its per-mode weights, built
+    on first use.  ``r`` holds the 64 Gauss-Legendre radii on [0, 1] at
+    which ``gfield_radial`` samples; they and geometric cuts toward 0 and 1
+    are the panel ends of the composite Gauss-Legendre rule on nodes ``s``.
+    """
+
+    def __init__(self):
+        self.r = gauss_legendre_01(_OUTER_NODES)[0]
+        grade = lambda f, k: f * k ** np.arange(math.ceil(math.log(0.05 / f, k)))
+        self.ends = np.unique(np.concatenate([[0.0, 1.0], self.r, grade(
+            _FLOOR_0, _GRADING_0), 1.0 - grade(_FLOOR_1, _GRADING_1)]))
+        self.xg, wg = gauss_legendre_01(_ORDER)
+        width = np.diff(self.ends)[:, None]
+        self.s = (self.ends[:-1, None] + width * self.xg).ravel()
+        self.weights = (width * wg).ravel()
+        # rho(s) s, with 1 - s^2 taken as (1 - s)(1 + s) near the circle
+        self.measure = 4.0 * self.s / np.square((1.0 - self.s) * (1.0 + self.s))
+
+    def mode(self, p: int):
+        return self._weights(abs(int(p)))
+
+    @lru_cache(maxsize=None)
+    def _weights(self, q: int):
+        """On panel [L, R] with nodes x_j, the prefix sum of phi_q f at x_j
+        is int_0^{x_j} (s/x_j)^q phi~ f ds = (L/x_j)^q Y + int_L^{x_j} ...,
+        Y = sum over earlier panels Q of (R_Q/L)^q int_Q (s/R_Q)^q phi~ f ds.
+        The last integral is exact on the interpolant for a Gauss rule of
+        q/2 + o nodes; every factor is at most 1."""
+        x, lo = self.s.reshape(-1, _ORDER), self.ends[:-1, None]
+        leg = np.polynomial.legendre
+        eta, omega = gauss_legendre_01(q // 2 + _ORDER)
+        u = self.xg[:, None] * eta
+        basis = leg.legvander(2.0 * u - 1.0, _ORDER - 1) @ np.linalg.inv(
+            leg.legvander(2.0 * self.xg - 1.0, _ORDER - 1))
+        ratio = (lo[..., None] + (x - lo)[..., None] * eta) / x[..., None]
+        inside = np.einsum("pjn,jnk->pjk", ratio ** q * (self.xg[:, None] * omega),
+                           basis) * np.diff(self.ends)[:, None, None]
+        totals = self.weights.reshape(x.shape) * (x / self.ends[1:, None]) ** q
+        earlier = np.tri(lo.size, k=-1, dtype=bool)
+        prefix = np.where(earlier, np.where(earlier, self.ends[None, 1:] / np.maximum(
+            lo, self.ends[1]), 1.0) ** q, 0.0)
+        psi = np.repeat(4.0 * math.pi * self.weights * _psi_scaled(q, self.s)
+                        * self.measure, 4)
+        return (np.repeat(_phi_scaled(q, self.s) * self.measure, 2),
+                np.concatenate([inside, totals[:, None, :]], axis=1),
+                psi * np.repeat((lo / x).ravel() ** q, 4), prefix, psi)
 
 
-def _build_table(p_max: int, config: EngineConfig) -> ModeTable:
-    xr, wxr = np.polynomial.legendre.leggauss(config.outer_nodes)
-    r = 0.5 * (xr + 1.0)
-    wr = 0.5 * wxr
-    psi, wpsi = psi_rule(p_max, config)
-    cosmat = np.cos(np.outer(psi, np.arange(p_max + 1)))  # (n_psi, P+1)
-    proj = 2.0 * (wpsi[:, None] * cosmat)
-    sin_half_sq = np.sin(0.5 * psi) ** 2
-    rules = [two_sided_panels(0.0, 1.0, ri, levels=config.inner_levels,
-                              ratio=0.25, order=config.inner_order) for ri in r]
-    s = np.array([nodes for nodes, _ in rules])
-    sw = np.array([weights for _, weights in rules])
-    ghat = np.empty((p_max + 1,) + s.shape)
-    for i, ri in enumerate(r):
-        u = (np.square(s[i] - ri)[:, None]
-             + (4.0 * ri * s[i])[:, None] * sin_half_sq[None, :])
-        u /= ((1.0 - ri * ri) * (1.0 - np.square(s[i])))[:, None]
-        ghat[:, i, :] = (kernel_value_array(u) @ proj).T
-    return ModeTable(config, p_max, r, s, wr * r * _rho(r), sw * s * _rho(s),
-                     ghat)
+_TABLE = ModeTable()
 
 
-_TABLE_CACHE: dict[EngineConfig, ModeTable] = {}
-
-
-def mode_table(p_max: int, config: EngineConfig = EngineConfig()) -> ModeTable:
-    """Cached Ghat table covering modes 0..p_max for this configuration."""
-    cached = _TABLE_CACHE.get(config)
-    if cached is None or cached.p_max < p_max:
-        cached = _build_table(p_max, config)
-        _TABLE_CACHE[config] = cached
-    return cached
-
-
-def _mode_slice(table: ModeTable, p: int) -> np.ndarray:
-    q = abs(p)
-    if q > table.p_max:
-        raise TruncationExceeded(
-            f"mode {q} beyond tabulated cap {table.p_max}")
-    return table.ghat[q]
+def mode_table(p_max: int) -> ModeTable:
+    """The one shared mode table, modes 0..p_max prepared; there is no mode
+    cap, and a higher mode is prepared on first use."""
+    for q in range(p_max + 1):
+        _TABLE.mode(q)
+    return _TABLE
 
 
 def pair_profiles(table: ModeTable, p: int, profile_a, profile_b) -> complex:
-    """(a, G b) for a = A(r) e^{i p theta}, b = B(r) e^{i p theta}.
-
-    The second profile enters conjugated, matching the sesquilinear pairing.
-    Profiles are vectorized callables of the radius.
-    """
-    ghat = _mode_slice(table, p)
-    a_vals = np.asarray(profile_a(table.r), dtype=complex)
-    b_vals = np.conj(np.asarray(profile_b(table.s), dtype=complex))
-    inner = np.sum(table.inner_measure * b_vals * ghat, axis=1)
-    outer = table.outer_measure * a_vals * inner
-    return complex(2.0 * _PI * np.sum(outer))
+    """(a, G b) for a = A(r) e^{i p theta}, b = B(r) e^{i p theta}, the
+    second profile conjugated (sesquilinear); profiles are vectorized
+    callables of the radius.  Swapping them conjugates the result exactly."""
+    phi, panel_w, lam, prefix, psi = table.mode(p)
+    v = np.empty((table.s.size, 2), dtype=complex)
+    v[:, 0], v[:, 1] = profile_a(table.s), np.conj(profile_b(table.s))
+    # J_a, J_b on the real lanes (Re, Im) x (a, b), weighted by psi: the
+    # in-panel parts and, through the panel totals, the earlier panels
+    panels = panel_w @ (phi * v.ravel()).view(float).reshape(-1, _ORDER, 4)
+    before = np.repeat(prefix @ panels[:, -1], _ORDER, axis=0)
+    m = v.T @ (psi * panels[:, :-1].ravel() + lam * before.ravel()).view(complex).reshape(-1, 2)
+    return complex(m[0, 1] + m[1, 0])
 
 
 def gfield_radial(table: ModeTable, q: int, profile_b) -> np.ndarray:
-    """Radial profile of G b at the outer nodes, for b = B(r) e^{i q theta}.
-
-    G b has the same angular mode: (G b)(r e^{i theta}) = e^{i q theta} g(r)
-    with g the returned array.
-    """
-    ghat = _mode_slice(table, q)
-    b_vals = np.asarray(profile_b(table.s), dtype=complex)
-    return np.sum(table.inner_measure * b_vals * ghat, axis=1)
+    """g(r) at the outer radii ``table.r``, where (G b)(r e^{i theta}) =
+    e^{i q theta} g(r) for b = B(r) e^{i q theta}, summed eight radii at a
+    time.  The radii are panel ends, so the rule sums the kink of Ghat_q at
+    s = r to full order."""
+    b = table.weights * table.measure * np.asarray(profile_b(table.s), dtype=complex)
+    return np.concatenate([mode_kernel(q, r[:, None], table.s) @ b
+                           for r in np.split(table.r, 8)])

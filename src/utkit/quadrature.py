@@ -17,9 +17,13 @@ and ``qc_solver.cauchy_transform`` all use it.
 
 ``apply_resolvent`` has two paths.  For callable integrands it recenters the
 singular point by a disk automorphism and integrates on a radial rule
-graded into the logarithmic singularity, reaching ~1e-10 absolute accuracy.
-For grid data it uses the windowed node sum and patch rule above; that
-path is cruder but works with sampled inputs.
+graded into the logarithmic singularity.  Against the closed-form mode
+engine, on the products (1 - r^2)^4 r^n e^{i p theta} of basis fields, its
+error is at most 5e-10 of sup abs(f) for abs(z) <= 0.5 and n <= 10, and
+3.4e-8 for n up to 14; it grows toward the circle, to 1e-6 at abs(z) = 0.7
+and 5e-4 by 0.95, and for (1 - abs(w)^2)^4 at abs(z) = 0.9917 it is 79 %
+off.  For grid data it uses the windowed node sum and patch rule above;
+that path is cruder but works with sampled inputs.
 """
 
 from __future__ import annotations
@@ -95,13 +99,6 @@ def graded_panels(a: float, b: float, *, toward: float, levels: int = 24,
         nodes.append(left + h * xg)
         weights.append(h * wg)
     return np.concatenate(nodes), np.concatenate(weights)
-
-
-def two_sided_panels(a: float, b: float, interior: float, **kw):
-    """Graded panels accumulating toward an interior point from both sides."""
-    ln, lw = graded_panels(a, interior, toward=interior, **kw)
-    rn, rw = graded_panels(interior, b, toward=interior, **kw)
-    return np.concatenate([ln, rn]), np.concatenate([lw, rw])
 
 
 @dataclass(frozen=True)
@@ -345,11 +342,11 @@ def _apply_resolvent_callable(f, z: complex, domain: Domain, rule: QuadRule,
     v = r[:, None] * np.exp(1j * theta)[None, :]
     w = sigma_inv.apply(v)
     fv = _evaluate(f, w)
-    u0 = (t / (1.0 - t))[:, None]
-    g0 = kernel_value_array(np.broadcast_to(u0, v.shape))
-    rho = 4.0 / np.square(1.0 - t)[:, None]
-    weights = (0.5 * wt)[:, None] * (TWO_PI / m)
-    return pairwise_dot(weights * rho * g0, fv)
+    # the recentred kernel, the density and the weights depend on the
+    # radius only: one radial vector
+    radial = (0.5 * wt * (TWO_PI / m) * (4.0 / np.square(1.0 - t))
+              * kernel_value_array(t / (1.0 - t)))
+    return pairwise_dot(radial[:, None], fv)
 
 
 def _smoothstep(s):
@@ -444,9 +441,10 @@ def apply_resolvent(f, z: DiskPoint, rule: QuadRule | None = None, *,
                     tol: float | None = None) -> complex:
     """(G f)(z) = integral of G(z, w) f(w) against the hyperbolic area form.
 
-    ``f`` may be a vectorized callable on complex arrays (accurate recentred
-    path) or a GridFunction on the matching domain (blended node sum with a
-    local diagonal patch).  With ``tol`` set, the callable path is repeated
+    ``f`` may be a vectorized callable on complex arrays (recentred path,
+    accurate well inside the disk; see the module docstring) or a
+    GridFunction on the matching domain (blended node sum with a local
+    diagonal patch).  With ``tol`` set, the callable path is repeated
     at a higher panel order and must stabilize to that tolerance.
     """
     if z.domain is Domain.UPPER_HALF_PLANE:

@@ -1,0 +1,73 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_json", Path(__file__).resolve().parents[1] / "tools" / "bench_json.py")
+bench_json = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_json)
+
+
+def _run(ops_per_s, rss, failed, seconds):
+    return {
+        "result": {"correct": True, "attempted": 10, "failed": failed,
+                   "metrics": {"ops_per_s": {"value": ops_per_s, "unit": "1/s"},
+                               "peak_rss_mb": {"value": rss, "unit": "MB"}}},
+        "operations": {},
+        "setup_samples_s": [0.1],
+        "records": [{"kind": "gram", "cell": "g", "seconds": s, "failed": None,
+                     "correct": True, "error": 0.0, "why": ""} for s in seconds]
+                   + [{"kind": "F4", "cell": "f", "seconds": 9.0, "failed": "QuadratureFailure",
+                       "correct": None, "error": None, "why": "x"}],
+    }
+
+
+@pytest.fixture
+def results(tmp_path):
+    runs = tmp_path / "results"
+    runs.mkdir()
+    for seed, ops, rss in [(3, 4.0, 50.0), (1, 1.0, 52.0), (2, 2.0, 51.0), (4, 3.0, 49.0)]:
+        (runs / f"wp_pairings-seed{seed}-trace0.json").write_text(
+            json.dumps(_run(ops, rss, 1, [0.01 * seed, 0.02])))
+    (runs / "modelb_bers-seed7-trace0.json").write_text(json.dumps(_run(5.0, 40.0, 0, [0.5])))
+    # traced runs and span files are not end-to-end results
+    (runs / "wp_pairings-seed9-trace1.json").write_text(json.dumps(_run(99.0, 1.0, 0, [1.0])))
+    (runs / "wp_pairings-seed9-spans.jsonl").write_text("{}\n")
+    return runs
+
+
+def test_quartiles_seeds_and_environment(results, tmp_path):
+    assert bench_json.main([str(results), "--label", "change", "--commit", "abc1234",
+                            "--out-dir", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "BENCH_wp_pairings.json").read_text())
+    assert doc["workload"] == "wp_pairings" and len(doc["runs"]) == 1
+    run = doc["runs"][0]
+    assert (run["label"], run["commit"]) == ("change", "abc1234")
+    assert run["seeds"] == [1, 2, 3, 4] and run["repeats"] == 4
+    ops = run["metrics"]["ops_per_s"]
+    assert ops["unit"] == "1/s"
+    assert (ops["q1"], ops["median"], ops["q3"]) == (1.75, 2.5, 3.25)
+    assert run["metrics"]["peak_rss_mb"]["median"] == 50.5
+    assert run["correct"] is True and run["failed_share"] == 0.1
+    # successful gram operations pooled over the runs, in milliseconds
+    assert run["op_ms_by_kind"] == {"gram": pytest.approx(20.0)}
+    assert run["numpy"] == np.__version__ and run["cpus"] >= 1 and run["machine"]
+    single = json.loads((tmp_path / "BENCH_modelb_bers.json").read_text())["runs"][0]
+    assert single["repeats"] == 1 and single["metrics"]["ops_per_s"]["q3"] == 5.0
+
+
+def test_entries_accumulate_and_same_label_replaces(results, tmp_path):
+    args = [str(results), "--out-dir", str(tmp_path)]
+    bench_json.main(args + ["--label", "parent", "--commit", "p0"])
+    bench_json.main(args + ["--label", "change", "--commit", "c1"])
+    bench_json.main(args + ["--label", "change", "--commit", "c1"])
+    runs = json.loads((tmp_path / "BENCH_wp_pairings.json").read_text())["runs"]
+    assert [(r["label"], r["commit"]) for r in runs] == [("parent", "p0"), ("change", "c1")]
+
+
+def test_empty_directory_is_an_error(tmp_path, capsys):
+    assert bench_json.main([str(tmp_path), "--label", "x", "--out-dir", str(tmp_path)]) == 1
+    assert "trace0" in capsys.readouterr().err

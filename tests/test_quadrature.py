@@ -1,19 +1,14 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from utkit._util import tree_sum
-from utkit.errors import DomainMismatch, IoFailure, NonFiniteValue, QuadratureFailure, TruncationExceeded
+from utkit.errors import DomainMismatch, IoFailure, NonFiniteValue, QuadratureFailure
 from utkit.geometry import DiskPoint, Domain, kernel_value, kernel_value_array
-from utkit.modes import (
-    EngineConfig,
-    gfield_radial,
-    mode_kernel_point,
-    mode_table,
-    pair_profiles,
-)
+from utkit.modes import gfield_radial, mode_kernel, mode_table, pair_profiles
 from utkit.qc_solver import cauchy_transform
 from utkit.quadrature import (
     DiagonalPatch,
@@ -21,6 +16,7 @@ from utkit.quadrature import (
     QuadRule,
     _local_polar_rule,
     apply_resolvent,
+    gauss_legendre_01,
     gauss_radial,
     integrate_disk,
     integrate_double,
@@ -365,11 +361,101 @@ class TestNearDiagonalPatch:
             assert np.isfinite(integrate_double(kern, outer))
 
 
+def psi_rule(p_max: int, levels: int = 20, order: int = 10,
+             oscillation: float = 1.2):
+    """Angular rule on [0, pi]: graded into the log corner at 0, and no
+    panel wider than a fraction of an oscillation of cos(p_max psi)."""
+    width_cap = math.pi / (oscillation * max(p_max, 1))
+    cuts = [math.pi * 0.25**j for j in range(levels, -1, -1)]
+    xg, wg = gauss_legendre_01(order)
+    nodes, weights = [], []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        edges = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / width_cap)) + 1)
+        for left, right in zip(edges[:-1], edges[1:]):
+            nodes.append(left + (right - left) * xg)
+            weights.append((right - left) * wg)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def mode_kernel_point(r: float, s: float, p: int, **rule) -> float:
+    """Ghat_p(r, s) = 2 int_0^pi G cos(p psi) dpsi by direct quadrature of
+    the kernel in angle, apart from the closed form of the mode engine."""
+    psi, wpsi = psi_rule(abs(p), **rule)
+    u = ((s - r) ** 2 + 4.0 * r * s * np.sin(0.5 * psi) ** 2) / (
+        (1.0 - r * r) * (1.0 - s * s))
+    return float(2.0 * np.dot(wpsi, kernel_value_array(u) * np.cos(p * psi)))
+
+
+def basis_product(i, j):
+    """Radial profile of the basis product mu_i conj(mu_j) without its
+    constants, on angular mode i - j."""
+    return lambda r: (1 - r**2) ** 4 * r ** (i + j - 4)
+
+
+def exact_self_pairing(i, j):
+    """(P, G P) / pi for P = basis_product(i, j), as an exact rational.
+
+    On mode q = |i - j| with a = 4 (1 - r^2)^2 r^(i+j-3) = P rho r,
+    (P, G P) = 8 pi int_0^1 a psi_q int_0^r phi_q a, whose integrand is a
+    polynomial in r, 1/r and log r.
+    """
+    sp = pytest.importorskip("sympy")
+    r, s, log_r = sp.symbols("r s log_r", positive=True)
+    n, q = i + j - 4, abs(i - j)
+
+    def phi(k, x):
+        return x**k * ((1 + k) + (1 - k) * x**2) / (1 - x**2)
+
+    if q == 0:
+        psi = ((r**2 + 1) * (log_r - 1) + 2) / (r**2 - 1)
+    elif q == 1:
+        psi = (r**2 * (r**2 - 4 * log_r) - 1) / (4 * r * (r**2 - 1))
+    else:
+        psi = (phi(q, r) - phi(-q, r)) / (2 * q * (q**2 - 1))
+    a = lambda x: 4 * (1 - x**2) ** 2 * x ** (n + 1)
+    inner = sp.integrate(sp.expand(sp.cancel(phi(q, s) * a(s))), (s, 0, r))
+    total = sp.Rational(0)
+    # c r^(k-1) log(r)^m integrates to c / k (m = 0) or -c / k^2 (m = 1)
+    for (k, m), c in sp.Poly(sp.expand(sp.cancel(8 * a(r) * psi * inner) * r),
+                             r, log_r).terms():
+        total += c / k if m == 0 else -c / k**2
+    return Fraction(int(total.p), int(total.q))
+
+
+# exact (P, G P) / pi for P = basis_product(i, j): every mode 0..23, each
+# at the lowest and the highest degree with i, j <= 25
+EXACT_SELF_PAIRINGS = {
+    (2, 2): (44, 135), (25, 25): (73, 31624145280), (3, 2): (29, 945),
+    (25, 24): (2801, 1057077000000), (4, 2): (1, 175), (25, 23): (407, 134276415000),
+    (5, 2): (43, 28350), (25, 22): (1567, 453182900625), (6, 2): (2, 3969),
+    (25, 21): (64073, 16277589900000), (7, 2): (19, 97020),
+    (25, 20): (6959, 1555414146000), (8, 2): (8, 93555),
+    (25, 19): (88259, 17374306950000), (9, 2): (71, 1737450),
+    (25, 18): (4463, 774289766250), (10, 2): (4, 190575),
+    (25, 17): (18001, 2753030280000), (11, 2): (17, 1486485),
+    (25, 16): (41773, 5631198300000), (12, 2): (23, 3513510),
+    (25, 15): (419, 49764078000), (13, 2): (11, 2815540),
+    (25, 14): (1747, 182665762500), (14, 2): (53, 21928725),
+    (25, 13): (27211, 2502075420000), (15, 2): (113, 73256400),
+    (25, 12): (108449, 8757263970000), (16, 2): (1, 988380),
+    (25, 11): (6913, 489393450000), (17, 2): (127, 186803820),
+    (25, 10): (446, 27624972375), (18, 2): (268, 574147035),
+    (25, 9): (88379, 4778373600000), (19, 2): (47, 143849475),
+    (25, 8): (34967, 1645884240000), (20, 2): (37, 158991525),
+    (25, 7): (12949, 529034220000), (21, 2): (31, 184095450),
+    (25, 6): (31919, 1128087675000), (22, 2): (18, 145620475),
+    (25, 5): (419, 12762204000), (23, 2): (13, 141401700),
+    (25, 4): (494309, 12921731550000), (24, 2): (22, 317874375),
+    (25, 3): (3733, 83366010000), (25, 2): (61, 1157861250),
+}
+
+
 class TestModeEngine:
     def test_normalization_all_radii(self):
         table = mode_table(8)
         g0 = gfield_radial(table, 0, lambda s: np.ones_like(s))
-        assert np.max(np.abs(g0 - 1.0)) < 1e-7
+        assert g0.shape == (64,)
+        assert np.max(np.abs(g0 - 1.0)) < 1e-12
 
     def test_point_kernel_symmetric(self):
         assert abs(mode_kernel_point(0.3, 0.7, 3)
@@ -383,6 +469,16 @@ class TestModeEngine:
         assert abs(mode_kernel_point(0.0, 0.5, 1)) < 1e-11
         assert abs(mode_kernel_point(0.0, 0.5, 2)) < 1e-11
 
+    @pytest.mark.parametrize("p", [0, 1, 2, 5, 16])
+    def test_closed_form_matches_direct_quadrature(self, p):
+        # a refined angular rule; where Ghat is below 1e-3 the direct sum
+        # of the oscillating cosine is the weaker side
+        for r, s in [(0.3, 0.7), (0.5, 0.52), (0.8, 0.6), (0.9, 0.93),
+                     (0.2, 0.25), (0.1, 0.9), (0.97, 0.995)]:
+            ref = mode_kernel_point(r, s, p, levels=28, order=16, oscillation=4.0)
+            assert abs(mode_kernel(p, r, s)[0] - ref) <= 1e-12 * abs(ref) + 1e-15
+            assert mode_kernel(-p, s, r)[0] == mode_kernel(p, r, s)[0]
+
     def test_pairing_positive_for_squares(self):
         table = mode_table(4)
         val = pair_profiles(table, 0, lambda r: (1 - r**2) ** 4,
@@ -390,14 +486,47 @@ class TestModeEngine:
         assert abs(val.imag) < 1e-14
         assert val.real > 0
 
-    def test_mode_cap_enforced(self):
-        # fresh config so the shared cache cannot hand back a bigger table
-        cfg = EngineConfig(outer_nodes=8, inner_levels=6, psi_levels=8)
-        table = mode_table(2, cfg)
-        with pytest.raises(TruncationExceeded):
-            pair_profiles(table, 3, lambda r: r, lambda r: r)
+    def test_exact_basis_self_pairings(self):
+        table = mode_table(8)
+        for (i, j), (num, den) in EXACT_SELF_PAIRINGS.items():
+            prof = basis_product(i, j)
+            val = pair_profiles(table, i - j, prof, prof)
+            assert abs(val / (math.pi * num / den) - 1.0) < 1e-13, (i, j)
 
-    def test_table_cache_reuse(self):
-        a = mode_table(3)
-        b = mode_table(2)
-        assert b is a
+    @pytest.mark.parametrize("pair", [(4, 2), (25, 14)])
+    def test_exact_pairings_recomputed(self, pair):
+        assert exact_self_pairing(*pair) == Fraction(*EXACT_SELF_PAIRINGS[pair])
+
+    def test_pairing_is_hermitian(self):
+        table = mode_table(8)
+        rng = np.random.default_rng(7)
+        for p in (0, 1, 3, -5):
+            ca, cb = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            fa = lambda r: ca * (1 - r**2) ** 4 * r ** (abs(p) + 2) + 1j * (1 - r**2) ** 2
+            fb = lambda r: cb * (1 - r**2) ** 3 * r ** abs(p)
+            ab, ba = pair_profiles(table, p, fa, fb), pair_profiles(table, p, fb, fa)
+            assert abs(ab - np.conj(ba)) <= 1e-15 * abs(ab)
+
+    def test_high_mode_is_finite_without_warnings(self):
+        table = mode_table(8)
+        smooth = basis_product(62, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = pair_profiles(table, 60, smooth, smooth)
+            rough = pair_profiles(table, 60, lambda r: (1 - r**2) ** 2,
+                                  lambda r: (1 - r**2) ** 2)
+            g = gfield_radial(table, 60, lambda r: (1 - r**2) ** 2)
+        assert np.isfinite(rough) and rough.real > 0 and np.all(np.isfinite(g))
+        want = math.pi * 17 / 153560054340
+        assert abs(val / want - 1.0) < 1e-13
+
+    def test_mode_table_is_a_shared_lookup(self):
+        # no cap: every call hands back one table, and a mode past p_max
+        # is prepared on first use
+        small, large = mode_table(2), mode_table(30)
+        assert small is large
+        r = 0.5 * (np.polynomial.legendre.leggauss(64)[0] + 1.0)
+        assert np.array_equal(small.r, r)
+        prof = basis_product(44, 2)
+        val = pair_profiles(mode_table(0), 42, prof, prof)
+        assert val.real > 0 and val.imag == 0.0
