@@ -6,13 +6,12 @@ Ghat_p(r, s) = int_0^{2 pi} G(r, s e^{i psi}) e^{i p psi} dpsi
 (1 - p) r^2) / (1 - r^2) regular at 0 and, in t = -log r, psi_p =
 (p cosh(p t) - coth(t) sinh(p t)) / (p (p^2 - 1)) decaying at the circle
 (psi_0 = t coth(t) - 1 and psi_1 = (sinh(2 t) - 2 t) / (4 sinh(t))).
-With a = A rho r and b = conj(B) rho s, the pairing of A e^{i p theta}
-with B e^{i p theta} is 4 pi int psi_p (a int_0^r phi_p b + b int_0^r phi_p a):
-cumulative radial sums, the semi-separable Green's function scheme of
+With a = A rho r and b = conj(B) rho s, the pairing of A e^{i p theta} and
+B e^{i p theta} is 4 pi int psi_p (a int_0^r phi_p b + b int_0^r phi_p a), by
+cumulative radial sums: the semi-separable Green's function scheme of
 Greengard and Rokhlin (Comm. Pure Appl. Math. 44, 1991), O(n) per pairing
-and no kernel table.  phi_p(s) psi_p(r) is taken as (s/r)^p times factors
-bounded by 1, so r^-p never overflows; near r = 1, where the closed forms
-cancel, psi_p is a short series in t.
+with no kernel table.  phi_p(s) psi_p(r) is (s/r)^p times factors bounded
+by 1, so r^-p never overflows; near r = 1 psi_p is a short series in t.
 """
 
 from __future__ import annotations
@@ -24,12 +23,17 @@ import numpy as np
 
 from .quadrature import gauss_legendre_01
 
-_OUTER_NODES = 64
 _ORDER = 8
-# panel ends grade geometrically from these floors, by these ratios, out to
-# distance 0.05 from 0 and from 1, where the outer radii take over
-_FLOOR_0, _GRADING_0 = 1e-6, 2.0
-_FLOOR_1, _GRADING_1 = 1e-8, 1.5
+# between the outer radii no panel spans more than these ratios, in r toward
+# 0 and in 1 - r toward 1; past the outermost radii panels grade by 4 to floors
+_GRADING_0, _GRADING_1 = 2.0, 1.5
+_FLOOR_0, _FLOOR_1 = 1e-6, 1e-8
+
+
+def _cuts(near: float, far: float, ratio: float) -> np.ndarray:
+    """Geometric cuts strictly between 0 < near < far, by at most ratio."""
+    k = math.ceil(math.log(far / near, ratio) - 1e-9)
+    return near * (far / near) ** (np.arange(1, k) / k)
 
 
 def _psi_scaled(q: int, x) -> np.ndarray:
@@ -71,10 +75,12 @@ class ModeTable:
     """
 
     def __init__(self):
-        self.r = gauss_legendre_01(_OUTER_NODES)[0]
-        grade = lambda f, k: f * k ** np.arange(math.ceil(math.log(0.05 / f, k)))
-        self.ends = np.unique(np.concatenate([[0.0, 1.0], self.r, grade(
-            _FLOOR_0, _GRADING_0), 1.0 - grade(_FLOOR_1, _GRADING_1)]))
+        r = self.r = gauss_legendre_01(64)[0]
+        self.ends = np.unique(np.concatenate(
+            [[0.0, _FLOOR_0, 1.0 - _FLOOR_1, 1.0], r, _cuts(_FLOOR_0, r[0], 4.0),
+             1.0 - _cuts(_FLOOR_1, 1.0 - r[-1], 4.0)]
+            + [_cuts(a, b, _GRADING_0) if b <= 0.5 else 1.0 - _cuts(1.0 - b, 1.0 - a, _GRADING_1)
+               for a, b in zip(r[:-1], r[1:])]))
         self.xg, wg = gauss_legendre_01(_ORDER)
         width = np.diff(self.ends)[:, None]
         self.s = (self.ends[:-1, None] + width * self.xg).ravel()
@@ -82,21 +88,17 @@ class ModeTable:
         # rho(s) s, with 1 - s^2 taken as (1 - s)(1 + s) near the circle
         self.measure = 4.0 * self.s / np.square((1.0 - self.s) * (1.0 + self.s))
 
-    def mode(self, p: int):
-        return self._weights(abs(int(p)))
-
     @lru_cache(maxsize=None)
-    def _weights(self, q: int):
-        """On panel [L, R] with nodes x_j, the prefix sum of phi_q f at x_j
-        is int_0^{x_j} (s/x_j)^q phi~ f ds = (L/x_j)^q Y + int_L^{x_j} ...,
-        Y = sum over earlier panels Q of (R_Q/L)^q int_Q (s/R_Q)^q phi~ f ds.
-        The last integral is exact on the interpolant for a Gauss rule of
-        q/2 + o nodes; every factor is at most 1."""
+    def mode(self, q: int):
+        """Weights of mode q >= 0.  With phi~ = s^-q phi_q, on panel [L, R] the
+        prefix sum at a node x is int_0^x (s/x)^q phi~ f ds = (L/x)^q Y + int_L^x ...,
+        Y = sum over earlier panels Q of (R_Q/L)^q int_Q (s/R_Q)^q phi~ f ds;
+        every factor is at most 1, and a Gauss rule of q/2 + o nodes takes
+        int_L^x exactly on the panel's interpolant."""
         x, lo = self.s.reshape(-1, _ORDER), self.ends[:-1, None]
         leg = np.polynomial.legendre
         eta, omega = gauss_legendre_01(q // 2 + _ORDER)
-        u = self.xg[:, None] * eta
-        basis = leg.legvander(2.0 * u - 1.0, _ORDER - 1) @ np.linalg.inv(
+        basis = leg.legvander(2.0 * self.xg[:, None] * eta - 1.0, _ORDER - 1) @ np.linalg.inv(
             leg.legvander(2.0 * self.xg - 1.0, _ORDER - 1))
         ratio = (lo[..., None] + (x - lo)[..., None] * eta) / x[..., None]
         inside = np.einsum("pjn,jnk->pjk", ratio ** q * (self.xg[:, None] * omega),
@@ -127,11 +129,10 @@ def pair_profiles(table: ModeTable, p: int, profile_a, profile_b) -> complex:
     """(a, G b) for a = A(r) e^{i p theta}, b = B(r) e^{i p theta}, the
     second profile conjugated (sesquilinear); profiles are vectorized
     callables of the radius.  Swapping them conjugates the result exactly."""
-    phi, panel_w, lam, prefix, psi = table.mode(p)
+    phi, panel_w, lam, prefix, psi = table.mode(abs(p))
     v = np.empty((table.s.size, 2), dtype=complex)
     v[:, 0], v[:, 1] = profile_a(table.s), np.conj(profile_b(table.s))
-    # J_a, J_b on the real lanes (Re, Im) x (a, b), weighted by psi: the
-    # in-panel parts and, through the panel totals, the earlier panels
+    # psi J_a, psi J_b on the real lanes (Re, Im) x (a, b), panel by panel
     panels = panel_w @ (phi * v.ravel()).view(float).reshape(-1, _ORDER, 4)
     before = np.repeat(prefix @ panels[:, -1], _ORDER, axis=0)
     m = v.T @ (psi * panels[:, :-1].ravel() + lam * before.ravel()).view(complex).reshape(-1, 2)
@@ -139,10 +140,9 @@ def pair_profiles(table: ModeTable, p: int, profile_a, profile_b) -> complex:
 
 
 def gfield_radial(table: ModeTable, q: int, profile_b) -> np.ndarray:
-    """g(r) at the outer radii ``table.r``, where (G b)(r e^{i theta}) =
-    e^{i q theta} g(r) for b = B(r) e^{i q theta}, summed eight radii at a
-    time.  The radii are panel ends, so the rule sums the kink of Ghat_q at
-    s = r to full order."""
+    """g(r) at the radii ``table.r``, where (G b)(r e^{i theta}) = e^{i q theta}
+    g(r) for b = B(r) e^{i q theta}; the radii are panel ends, so the kink of
+    Ghat_q at s = r costs the rule no order.  Eight radii at a time."""
     b = table.weights * table.measure * np.asarray(profile_b(table.s), dtype=complex)
     return np.concatenate([mode_kernel(q, r[:, None], table.s) @ b
                            for r in np.split(table.r, 8)])

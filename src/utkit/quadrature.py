@@ -339,9 +339,8 @@ def _apply_resolvent_callable(f, z: complex, domain: Domain, rule: QuadRule,
     r = np.sqrt(t)
     m = rule.angular_count
     theta = TWO_PI * np.arange(m) / m
-    v = r[:, None] * np.exp(1j * theta)[None, :]
-    w = sigma_inv.apply(v)
-    fv = _evaluate(f, w)
+    # the (radius, angle) nodes are dropped once f has been sampled
+    fv = _evaluate(f, sigma_inv.apply(r[:, None] * np.exp(1j * theta)[None, :]))
     # the recentred kernel, the density and the weights depend on the
     # radius only: one radial vector
     radial = (0.5 * wt * (TWO_PI / m) * (4.0 / np.square(1.0 - t))
