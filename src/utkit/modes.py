@@ -76,7 +76,7 @@ class ModeTable:
 
     def __init__(self):
         r = self.r = gauss_legendre_01(64)[0]
-        self.ends = np.unique(np.concatenate(
+        self.ends = np.sort(np.concatenate(
             [[0.0, _FLOOR_0, 1.0 - _FLOOR_1, 1.0], r, _cuts(_FLOOR_0, r[0], 4.0),
              1.0 - _cuts(_FLOOR_1, 1.0 - r[-1], 4.0)]
             + [_cuts(a, b, _GRADING_0) if b <= 0.5 else 1.0 - _cuts(1.0 - b, 1.0 - a, _GRADING_1)
