@@ -114,15 +114,15 @@ class ModeTable:
                 psi * np.repeat((lo / x).ravel() ** q, 4), prefix, psi)
 
 
-_TABLE = ModeTable()
+@lru_cache(maxsize=1)
+def _shared_table() -> ModeTable:
+    return ModeTable()
 
 
 def mode_table(p_max: int) -> ModeTable:
-    """The one shared mode table, modes 0..p_max prepared; there is no mode
-    cap, and a higher mode is prepared on first use."""
-    for q in range(p_max + 1):
-        _TABLE.mode(q)
-    return _TABLE
+    """The one shared mode table.  It has no mode cap: p_max is accepted for
+    compatibility, and each mode's weights are built on its first use."""
+    return _shared_table()
 
 
 def pair_profiles(table: ModeTable, p: int, profile_a, profile_b) -> complex:
