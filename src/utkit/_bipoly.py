@@ -27,7 +27,6 @@ from .errors import NonFiniteValue
 __all__ = ["BiPoly", "eval_principal"]
 
 _polyval2d = np.polynomial.polynomial.polyval2d
-_polyval = np.polynomial.polynomial.polyval
 
 
 def _merge(block1, block2):
@@ -310,9 +309,12 @@ def eval_principal(principal, z):
     Cauchy transform."""
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
-    if principal.size == 0:
-        out = np.zeros(z.shape, dtype=complex)
-    else:
+    out = np.zeros(z.shape, dtype=complex)
+    if principal.size:
         w = 1.0 / z
-        out = w * _polyval(w, principal)
+        # Horner in place: on the solver's grids a fresh array per step
+        # would be a fresh mapping of pages
+        for c in principal[::-1]:
+            out += c
+            out *= w
     return complex(out) if scalar else out

@@ -12,20 +12,23 @@ def tree_sum(values):
 
     The reduction tree depends only on the length of that axis, so results
     are bit-reproducible run to run, and each row of a 2-D block sums bit
-    for bit as the same row would alone.
+    for bit as the same row would alone.  It is the fold of the input
+    zero-padded to a power of two, without the padding: the tail past the
+    largest power of two below the length is added into the head, and the
+    head is folded in place.  A 1-D input gives a scalar.
     """
     a = np.asarray(values)
-    n = 1
-    while n < a.shape[-1]:
-        n *= 2
-    if n != a.shape[-1]:
-        b = np.zeros(a.shape[:-1] + (n,), dtype=a.dtype)
-        b[..., : a.shape[-1]] = a
-        a = b
-    while a.shape[-1] > 1:
-        half = a.shape[-1] // 2
-        a = a[..., :half] + a[..., half:]
-    return a[..., 0]
+    n = a.shape[-1]
+    half = 1
+    while 2 * half < n:
+        half *= 2
+    buf = a[..., :half].copy()
+    buf[..., :n - half] += a[..., half:]
+    while half > 1:
+        half //= 2
+        buf[..., :half] += buf[..., half:2 * half]
+    out = buf[..., 0]
+    return out[()] if out.ndim == 0 else out.copy()
 
 
 def check_finite(values, what: str = "value"):
@@ -39,4 +42,4 @@ def pairwise_dot(weights, values) -> complex:
     """tree_sum of an elementwise product, with a finiteness check."""
     prod = np.asarray(weights) * np.asarray(values)
     check_finite(prod, "integrand sample")
-    return tree_sum(prod.ravel())
+    return complex(tree_sum(prod.ravel()))

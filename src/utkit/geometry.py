@@ -14,8 +14,8 @@ Key objects:
 * ``point_pair_invariant``: u(z, w) = |z-w|^2 / ((1-|z|^2)(1-|w|^2)), the
   cross-ratio invariant the resolvent kernel is a function of.
 * ``resolvent_kernel``: G = ((2u+1)/(2 pi)) log((u+1)/u) - 1/pi, evaluated
-  with log1p-based branches so both the near-diagonal and the far regime
-  keep full relative accuracy.
+  by log1p near the diagonal and by a series of positive terms in
+  1/(2u+1)^2 from u = 1 on, so both regimes keep full relative accuracy.
 """
 
 from __future__ import annotations
@@ -145,43 +145,39 @@ def u_array(z, w):
     return num / den
 
 
-_SERIES_CUT = 1e4
+# G = (atanh(t)/t - 1)/pi with t = 1/(2u+1), so for u >= 1 (t^2 <= 1/9)
+# G = (1/pi) sum_k t^(2k)/(2k+1): positive terms, no cancellation, and
+# sixteen of them reach double precision; below the cut the log form has
+# no cancellation either
+_SERIES_CUT = 1.0
+_SERIES_COEFFS = 1.0 / (2.0 * np.arange(1, 17) + 1.0)
 
 
 def kernel_value(u: float) -> float:
     """Resolvent kernel as a function of the invariant u > 0."""
-    if u <= 0.0:
-        raise DiagonalSingularity("kernel evaluated at u <= 0")
-    if u > _SERIES_CUT:
-        x = 1.0 / u
-        return x * x / (12.0 * math.pi) * (1.0 - x + 0.9 * x * x)
-    if u < 1.0:
-        ell = math.log1p(u) - math.log(u)
-    else:
-        ell = math.log1p(1.0 / u)
-    return (2.0 * u + 1.0) * ell / (2.0 * math.pi) - 1.0 / math.pi
+    return float(kernel_value_array(u))
 
 
 def kernel_value_array(u):
-    """Vectorized ``kernel_value``; entries with u <= 0 raise."""
+    """Resolvent kernel G(u) elementwise, to about 1e-14 relative; entries
+    with u <= 0 raise."""
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0.0):
         raise DiagonalSingularity("kernel evaluated at u <= 0")
     out = np.empty_like(u)
-    small = u < 1.0
-    large = u > _SERIES_CUT
-    mid = ~small & ~large
-    if np.any(small):
-        us = u[small]
-        ell = np.log1p(us) - np.log(us)
-        out[small] = (2.0 * us + 1.0) * ell / (2.0 * math.pi) - 1.0 / math.pi
-    if np.any(mid):
-        um = u[mid]
-        ell = np.log1p(1.0 / um)
-        out[mid] = (2.0 * um + 1.0) * ell / (2.0 * math.pi) - 1.0 / math.pi
-    if np.any(large):
-        x = 1.0 / u[large]
-        out[large] = x * x / (12.0 * math.pi) * (1.0 - x + 0.9 * x * x)
+    far = u >= _SERIES_CUT
+    t2 = 0.5 / (u[far] + 0.5)
+    t2 *= t2
+    acc = np.full_like(t2, _SERIES_COEFFS[-1])
+    for c in _SERIES_COEFFS[-2::-1]:
+        acc *= t2
+        acc += c
+    acc *= t2
+    out[far] = acc / math.pi
+    near = ~far
+    un = u[near]
+    ell = np.log1p(un) - np.log(un)
+    out[near] = (2.0 * un + 1.0) * ell / (2.0 * math.pi) - 1.0 / math.pi
     return out
 
 

@@ -69,6 +69,9 @@ _MAX_TERMS = 50
 # dilatations, and the negative powers of the exterior Riemann fit, whose
 # sup residual on the circle must reach _PHI_ACCEPT
 _FIT_DEGREES = (4, 18)
+# relative size below which a fitted coefficient, or a whole angular bin
+# of samples, is rounding noise
+_FIT_CUT = 1e-13
 _PHI_TRUNCATION = 32
 _PHI_ACCEPT = 1e-8
 
@@ -121,24 +124,36 @@ def _fit_bipoly(gf: GridFunction, deg_z: int, deg_zbar: int):
     The dictionary is a in [0, deg_z], b in [-1, deg_zbar]; the b = -1
     column keeps radial dilatations k z/zbar inside the span.  Returns
     the fitted BiPoly and the sup residual over the nodes.
+
+    On the nodes z^a zbar^b = r^(a+b) e^{i(a-b)theta}, and on M uniform
+    angles columns whose modes differ mod M are orthogonal, so the
+    least-squares problem over all nodes splits exactly into one FFT per
+    ring and one radial fit per bin (a - b) mod M; modes that alias share
+    their bin's fit.  A bin whose samples all sit below _FIT_CUT is left
+    unfitted, so rounding noise does not become terms.
     """
-    nodes = gf.nodes().ravel()
-    vals = gf.values.ravel()
-    cols = []
-    index = []
-    for a in range(deg_z + 1):
-        for b in range(-1, deg_zbar + 1):
-            cols.append(nodes**a * np.conj(nodes) ** b)
-            index.append((a, b))
-    basis = np.column_stack(cols)
-    coef, *_ = np.linalg.lstsq(basis, vals, rcond=None)
-    resid = float(np.max(np.abs(basis @ coef - vals)))
-    scale = float(np.max(np.abs(coef))) if coef.size else 0.0
-    out = BiPoly.zero()
-    for c, (a, b) in zip(coef, index):
-        if abs(c) > 1e-13 * max(scale, 1.0):
-            out = out + BiPoly.from_term(c, a, b)
-    return out, resid
+    radii = gf.rule.radii
+    m_count = gf.rule.angular_count
+    spec = np.fft.fft(gf.values, axis=1) / m_count
+    a, b = np.divmod(np.arange((deg_z + 1) * (deg_zbar + 2)), deg_zbar + 2)
+    b -= 1
+    bins = (a - b) % m_count
+    peak = np.max(np.abs(spec), axis=0)
+    live = peak > _FIT_CUT * max(float(np.max(peak)), 1.0)
+    fits = []
+    for q in sorted(set(bins[live[bins]].tolist())):
+        cols = np.flatnonzero(bins == q)
+        powers = radii[:, None] ** (a[cols] + b[cols])
+        coef, *_ = np.linalg.lstsq(powers, spec[:, q], rcond=None)
+        fits.append((q, cols, powers, coef))
+    scale = max((float(np.max(np.abs(c))) for *_, c in fits), default=0.0)
+    arr = np.zeros((deg_z + 1, deg_zbar + 2), dtype=complex)
+    for q, cols, powers, coef in fits:
+        coef = np.where(np.abs(coef) > _FIT_CUT * max(scale, 1.0), coef, 0.0)
+        arr.flat[cols] = coef
+        spec[:, q] -= powers @ coef
+    resid = float(np.max(np.abs(np.fft.ifft(spec, axis=1)))) * m_count
+    return BiPoly({0: (arr, 0, -1)}).prune(0.0), resid
 
 
 def beurling_transform(h, z, *, degrees=(6, 18), tol=1e-6) -> complex:
@@ -243,7 +258,9 @@ class _SeriesState:
         return zeta + self.interior.eval(zeta)
 
     def w_tilde_ext(self, zeta):
-        return zeta + eval_principal(self.tail, zeta)
+        out = eval_principal(self.tail, zeta)
+        out += zeta
+        return out
 
     def dz_interior(self):
         if self._dz is None:
@@ -260,12 +277,20 @@ class _SeriesState:
         nodes of rule, via residual = -h_next(1/z) / (zbar^2 w~(1/z)^2);
         1/z runs over the conjugated disk nodes and 1/zbar over the disk
         nodes themselves."""
+        # in place where it can be: on the solver's rule every fresh
+        # array is a fresh mapping of pages
         disk = rule.nodes()
-        wt = np.conj(disk) + self.interior.eval_rule(rule, conjugate=True)
+        wt = self.interior.eval_rule(rule, conjugate=True)
+        wt.real += disk.real
+        wt.imag -= disk.imag
         if self.h.is_zero:
             field = np.zeros(disk.shape, dtype=complex)
         else:
-            field = -self.h.eval_rule(rule, conjugate=True) * disk**2 / wt**2
+            field = self.h.eval_rule(rule, conjugate=True)
+            np.negative(field, out=field)
+            disk *= disk
+            field *= disk
+            field /= wt * wt
         self.grid_w_tilde, self.grid_residual = wt, field
         return float(np.max(np.abs(field)))
 
@@ -388,14 +413,15 @@ class QCMap:
     # Model B evaluation: w(z) = 1/w~(1/z) with w~ from the series
     def _eval_b(self, z):
         z = np.asarray(z, dtype=complex)
-        out = np.empty(z.shape, dtype=complex)
+        out = np.zeros(z.shape, dtype=complex)
         inside = np.abs(z) <= 1.0
-        zin = z[inside]
-        if zin.size:
-            vals = np.zeros(zin.shape, dtype=complex)
-            nz = zin != 0
-            vals[nz] = 1.0 / self._series.w_tilde_ext(1.0 / zin[nz])
-            out[inside] = vals
+        pick = inside & (z != 0)
+        if pick.any():
+            zeta = z[pick]
+            np.divide(1.0, zeta, out=zeta)
+            vals = self._series.w_tilde_ext(zeta)
+            np.divide(1.0, vals, out=vals)
+            out[pick] = vals
         zout = z[~inside]
         if zout.size:
             out[~inside] = 1.0 / self._series.w_tilde(1.0 / zout)

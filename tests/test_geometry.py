@@ -152,6 +152,19 @@ class TestKernel:
             direct = (2 * u + 1) / (2 * math.pi) * math.log1p(1.0 / u) - 1 / math.pi
             assert kernel_value(u) == pytest.approx(direct, rel=1e-9)
 
+    def test_matches_mpmath_on_log_spaced_u(self):
+        # the direct form cancels for large u: 1e-9 relative at u = 1e3
+        mpmath = pytest.importorskip("mpmath")
+        u = np.logspace(-300, 12, 625)
+        u = np.concatenate([u, np.linspace(0.5, 2.0, 61), [1e1, 1e2, 1e3, 9.9e3, 1.01e4]])
+        got = kernel_value_array(u)
+        with mpmath.workdps(40):
+            for x, g in zip(u, got):
+                ux = mpmath.mpf(float(x))
+                ref = (2 * ux + 1) * mpmath.log1p(1 / ux) / (2 * mpmath.pi) - 1 / mpmath.pi
+                assert abs(g - ref) <= 1e-13 * ref
+                assert kernel_value(float(x)) == g
+
     def test_near_diagonal_log_accuracy(self):
         # for tiny u the kernel behaves like -log(u)/(2 pi); relative
         # accuracy must survive u far below 1e-8

@@ -19,6 +19,7 @@ from utkit.errors import (
 from utkit.geometry import Domain, MoebiusMap
 from utkit.qc_solver import (
     QCMap,
+    _fit_bipoly,
     _run_series,
     _taylor_from_tail,
     bers_embedding,
@@ -135,6 +136,58 @@ class TestBeurlingTransform:
                                         Domain.UNIT_DISK)
         with pytest.raises(TruncationExceeded):
             beurling_transform(gf, 0.2 + 0j, degrees=(2, 2), tol=1e-10)
+
+
+def _dense_fit(rule, values, deg_z, deg_zbar):
+    """The dense least-squares fit over every node: reference for _fit_bipoly."""
+    nodes = rule.nodes().ravel()
+    index = [(a, b) for a in range(deg_z + 1) for b in range(-1, deg_zbar + 1)]
+    basis = np.column_stack([nodes**a * np.conj(nodes) ** b for a, b in index])
+    coef, *_ = np.linalg.lstsq(basis, values.ravel(), rcond=None)
+    return coef, index
+
+
+def _fit_residual(rule, values, coef, index):
+    # in extended precision: on the coarse rules the coefficients reach
+    # 1e7, and a double evaluation of the residual is only good to 1e-11
+    nodes = rule.nodes().astype(np.clongdouble).ravel()
+    basis = np.column_stack([nodes**a * np.conj(nodes) ** b for a, b in index])
+    return np.abs(basis @ np.asarray(coef, dtype=np.clongdouble) - values.ravel())
+
+
+class TestFitBipoly:
+    @pytest.mark.parametrize("shape,degrees", [((32, 64), (4, 18)),
+                                               ((16, 32), (6, 18)),
+                                               ((16, 8), (4, 18))])
+    def test_objective_matches_dense_least_squares(self, shape, degrees):
+        # objectives, not coefficients: aliased bins (16 x 8) are
+        # rank-deficient, so the minimizer is not unique
+        rule = QuadRule(*shape)
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            dense, index = _dense_fit(rule, vals, *degrees)
+            fit, resid = _fit_bipoly(GridFunction(rule, Domain.UNIT_DISK, vals),
+                                     *degrees)
+            per_mode = [fit.coeff(a, b) for a, b in index]
+            ref = float(np.sum(_fit_residual(rule, vals, dense, index) ** 2))
+            res = _fit_residual(rule, vals, per_mode, index)
+            assert abs(float(np.sum(res**2)) - ref) <= 1e-12 * ref
+            assert resid == pytest.approx(float(np.max(res)), rel=1e-12)
+
+    @pytest.mark.parametrize("k", [0.1, 0.2, 0.3])
+    def test_radial_dilatation_fits_as_one_term(self, k):
+        rule = QuadRule(32, 64)
+        ext = rule.nodes(Domain.EXTERIOR_DISK)
+        mu = BeltramiField.sampled(
+            GridFunction(rule, Domain.EXTERIOR_DISK, k * ext / np.conj(ext)))
+        fit, resid = _fit_bipoly(mu.iota_star().grid, 4, 18)
+        terms = list(fit.terms())
+        assert len(terms) == 1
+        coef, a, b, j = terms[0]
+        assert (a, b, j) == (1, -1, 0)
+        assert coef == pytest.approx(k, rel=1e-14)
+        assert resid < 1e-14
 
 
 class TestSolveBeltrami:

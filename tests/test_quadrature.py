@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from utkit._util import tree_sum
+from utkit._util import pairwise_dot, tree_sum
 from utkit.errors import DomainMismatch, IoFailure, NonFiniteValue, QuadratureFailure
 from utkit.geometry import DiskPoint, Domain, kernel_value, kernel_value_array
 from utkit.modes import gfield_radial, mode_kernel, mode_table, pair_profiles
@@ -109,6 +109,28 @@ class TestIntegrals:
 
         with pytest.raises(NonFiniteValue):
             integrate_disk(bad, QuadRule(radial_nodes=4, angular_count=8))
+
+
+class TestScalarResults:
+    def test_public_integrals_return_python_complex(self):
+        rule = QuadRule(16, 32)
+        f = lambda z: (1 - np.abs(z) ** 2) ** 2
+        grid = GridFunction.from_callable(f, rule, Domain.UNIT_DISK)
+        ext = GridFunction.from_callable(lambda z: np.abs(z) ** -6, rule,
+                                         Domain.EXTERIOR_DISK)
+        results = [
+            pairwise_dot(rule.node_weights(), grid.values),
+            integrate_disk(f, rule),
+            integrate_disk(grid),
+            integrate_exterior(ext),
+            integrate_uhp(lambda z: 1.0 / (1.0 + np.abs(z) ** 2) ** 3, rule),
+            integrate_double(lambda z, w: f(z) * f(w), QuadRule(8, 16)),
+            apply_resolvent(f, DiskPoint.disk(0.2)),
+            apply_resolvent(grid, DiskPoint.disk(0.2)),
+        ]
+        for val in results:
+            assert isinstance(val, complex), type(val)
+            assert np.ndim(val) == 0
 
 
 class TestGridFunction:
@@ -291,6 +313,37 @@ class TestDoubleIntegral:
         assert sums.shape == (28,)
         rows = np.array([tree_sum(row) for row in block])
         assert np.array_equal(sums, rows)
+
+    @staticmethod
+    def padded_fold(values):
+        # the zero-padded power-of-two fold that tree_sum reproduces
+        a = np.asarray(values)
+        n = 1
+        while n < a.shape[-1]:
+            n *= 2
+        b = np.zeros(a.shape[:-1] + (n,), dtype=a.dtype)
+        b[..., :a.shape[-1]] = a
+        while b.shape[-1] > 1:
+            half = b.shape[-1] // 2
+            b = b[..., :half] + b[..., half:]
+        return b[..., 0]
+
+    def test_fold_equals_the_zero_padded_fold(self):
+        rng = np.random.default_rng(9)
+        for n in [*range(1, 71), 1152, 30720]:
+            x = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
+                * 10.0 ** rng.uniform(-8, 8, n)
+            assert np.array_equal(tree_sum(x), self.padded_fold(x))
+            assert np.array_equal(tree_sum(x.real), self.padded_fold(x.real))
+        block = rng.standard_normal((28, 1152)) * 10.0 ** rng.uniform(-8, 8, (28, 1152))
+        assert np.array_equal(tree_sum(block), self.padded_fold(block))
+        assert np.array_equal(tree_sum(block[:, :1000]), self.padded_fold(block[:, :1000]))
+
+    def test_row_sums_own_their_memory(self):
+        # a view into the fold buffer would keep the whole buffer alive
+        sums = tree_sum(np.ones((4, 1000)))
+        assert sums.base is None
+        assert np.array_equal(sums, np.full(4, 1000.0))
 
 
 class TestNearDiagonalPatch:
