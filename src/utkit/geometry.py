@@ -165,19 +165,28 @@ def kernel_value_array(u):
     if np.any(u <= 0.0):
         raise DiagonalSingularity("kernel evaluated at u <= 0")
     out = np.empty_like(u)
+    # in place: callers pass blocks of 10^4 to 10^6 values
     far = u >= _SERIES_CUT
-    t2 = 0.5 / (u[far] + 0.5)
+    t2 = u[far]
+    t2 += 0.5
+    np.divide(0.5, t2, out=t2)
     t2 *= t2
     acc = np.full_like(t2, _SERIES_COEFFS[-1])
     for c in _SERIES_COEFFS[-2::-1]:
         acc *= t2
         acc += c
     acc *= t2
-    out[far] = acc / math.pi
-    near = ~far
-    un = u[near]
-    ell = np.log1p(un) - np.log(un)
-    out[near] = (2.0 * un + 1.0) * ell / (2.0 * math.pi) - 1.0 / math.pi
+    acc /= math.pi
+    out[far] = acc
+    un = u[~far]
+    ell = np.log1p(un)
+    ell -= np.log(un)
+    un *= 2.0
+    un += 1.0
+    un *= ell
+    un /= 2.0 * math.pi
+    un -= 1.0 / math.pi
+    out[~far] = un
     return out
 
 
