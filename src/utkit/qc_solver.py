@@ -66,13 +66,15 @@ _CONTRACTION_CAP = 4.0
 _MAX_TERMS = 50
 
 # monomial degrees (in z, in zbar) of the least-squares fit of sampled
-# dilatations, and the negative powers of the exterior Riemann fit, whose
-# sup residual on the circle must reach _PHI_ACCEPT
+# dilatations
 _FIT_DEGREES = (4, 18)
 # relative size below which a fitted coefficient, or a whole angular bin
 # of samples, is rounding noise
 _FIT_CUT = 1e-13
-_PHI_TRUNCATION = 32
+# terms c_k w^-k in the exponent of the exterior Riemann map
+# Phi = A1 w exp(sum_k c_k w^-k) of the image curve, and the sup of
+# abs(abs(Phi) - 1) on the curve that its fit must reach
+_PHI_TRUNCATION = 40
 _PHI_ACCEPT = 1e-8
 
 # stand-in for the point at infinity when reflecting z = 0 through the
@@ -365,25 +367,33 @@ def _reflect(z):
     return out
 
 
-def _phi_eval(phi, w):
-    a1, a0, aneg = phi
-    w = np.asarray(w, dtype=complex)
-    out = a1 * w + a0
-    if aneg.size:
-        iw = 1.0 / w
-        out = out + iw * _polyval(iw, aneg)
-    return out
+def _phi_eval(phi, w, deriv: bool = False):
+    """Phi(w) = A1 w exp(h(w)) with h = sum_k c_k w^-k, and with deriv
+    also Phi'(w) = Phi(w) (1/w + h'(w)), in one pass.
 
-
-def _phi_deriv(phi, w):
-    a1, _, aneg = phi
+    Both sums run by Horner in place: on the solver's grids a fresh
+    array per coefficient would be a fresh mapping of pages."""
+    a1, c = phi
     w = np.asarray(w, dtype=complex)
-    out = np.full(w.shape, a1, dtype=complex)
-    if aneg.size:
-        iw = 1.0 / w
-        kk = np.arange(1.0, aneg.size + 1.0)
-        out = out - iw**2 * _polyval(iw, kk * aneg)
-    return out
+    iw = 1.0 / w
+    h = np.zeros(w.shape, dtype=complex)
+    kh = np.zeros(w.shape, dtype=complex) if deriv else None
+    for k in range(c.size, 0, -1):
+        h += c[k - 1]
+        h *= iw
+        if deriv:
+            kh += k * c[k - 1]
+            kh *= iw
+    out = np.exp(h, out=h)
+    out *= w
+    out *= a1
+    if not deriv:
+        return out
+    # 1/w + h' = (1 - sum_k k c_k w^-k) / w
+    np.subtract(1.0, kh, out=kh)
+    kh *= iw
+    kh *= out
+    return out, kh
 
 
 @dataclass(frozen=True)
@@ -456,9 +466,8 @@ class QCMap:
         return self._dress["mhat"].apply(_phi_eval(self._dress["phi"], wb))
 
     def _dressed_deriv(self, wb):
-        inner = _phi_eval(self._dress["phi"], wb)
-        return (self._dress["mhat"].derivative(inner)
-                * _phi_deriv(self._dress["phi"], wb))
+        inner, dinner = _phi_eval(self._dress["phi"], wb, deriv=True)
+        return self._dress["mhat"].derivative(inner) * dinner
 
     def _eval_a(self, z):
         z = np.asarray(z, dtype=complex)
@@ -557,45 +566,28 @@ def _interior_jets(qc: QCMap) -> dict:
     }
 
 
-def _exterior_riemann(boundary, k_neg: int, *, steps: int = 30):
-    """Newton fit of Phi(w) = A1 w + A0 + sum_k A_-k w^-k mapping the
+def _exterior_riemann(boundary, k_neg: int):
+    """Fit Phi(w) = A1 w exp(sum_k c_k w^-k), k = 1..k_neg, mapping the
     outside of the sampled curve onto the outside of the unit circle,
     with Phi(inf) = inf and A1 real positive as gauge.
 
-    The truncated fit has a residual floor of its own; once an accepted
-    fit stops improving, further steps only repeat it, so the loop stops
-    there and keeps the best iterate.
+    log|Phi| is the Green's function of the exterior domain with its pole
+    at infinity, so |Phi| = 1 on the curve is linear in (log A1, Re c_k,
+    Im c_k): one real least-squares solve.  Returns ((A1, c), the sup of
+    abs(abs(Phi) - 1) over the samples).
     """
-    m = boundary.size
-    basis = [boundary, np.ones(m, dtype=complex)]
-    basis += [boundary ** (-k) for k in range(1, k_neg + 1)]
-    basis = np.column_stack(basis)
-    coef = np.zeros(k_neg + 2, dtype=complex)
-    coef[0] = 1.0
-    best, resid = coef, math.inf
-    for step in range(steps + 1):
-        phi = basis @ coef
-        mod = np.abs(phi)
-        err = float(np.max(np.abs(mod - 1.0)))
-        if err < resid:
-            best, resid = coef, err
-        elif resid <= _PHI_ACCEPT:
-            break
-        res = mod**2 - 1.0
-        if np.max(np.abs(res)) < 1e-13 or step == steps:
-            break
-        cb = np.conj(phi)[:, None] * basis
-        cols = [2.0 * cb[:, 0].real]
-        for jcol in range(1, basis.shape[1]):
-            cols.append(2.0 * cb[:, jcol].real)
-            cols.append(-2.0 * cb[:, jcol].imag)
-        mat = np.column_stack(cols)
-        upd, *_ = np.linalg.lstsq(mat, -res, rcond=None)
-        coef = coef + np.concatenate([[upd[0]], upd[1::2] + 1j * upd[2::2]])
-        coef[0] = complex(coef[0].real, 0.0)
+    powers = np.cumprod(np.broadcast_to(1.0 / boundary[:, None],
+                                        (boundary.size, k_neg)), axis=1)
+    mat = np.empty((boundary.size, 2 * k_neg + 1))
+    mat[:, 0] = 1.0
+    mat[:, 1::2] = powers.real
+    mat[:, 2::2] = -powers.imag
+    rhs = -np.log(np.abs(boundary))
+    sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
+    resid = float(np.max(np.abs(np.expm1(mat @ sol - rhs))))
     if resid > _PHI_ACCEPT:
         raise NoConvergence(f"exterior Riemann fit residual {resid:.2e}")
-    return (float(best[0].real), complex(best[1]), best[2:].copy()), resid
+    return (math.exp(sol[0]), sol[1::2] + 1j * sol[2::2]), resid
 
 
 def solve_beltrami(mu: BeltramiField, normalization: str = "ModelB",
@@ -652,10 +644,9 @@ def solve_beltrami(mu: BeltramiField, normalization: str = "ModelB",
     dress = {"phi": phi, "mhat": mhat,
              "psi_point": complex(phi_anchor[2]), "boundary": boundary}
 
-    chain = np.abs(mhat.derivative(_phi_eval(phi, ext_vals))
-                   * _phi_deriv(phi, ext_vals))
-    ext_res = chain * np.abs(res_field)
-    wa_ext = mhat.apply(_phi_eval(phi, ext_vals))
+    phi_ext, dphi_ext = _phi_eval(phi, ext_vals, deriv=True)
+    ext_res = np.abs(mhat.derivative(phi_ext) * dphi_ext) * np.abs(res_field)
+    wa_ext = mhat.apply(phi_ext)
     int_res = ext_res / (np.abs(disk_nodes) ** 2 * np.abs(wa_ext) ** 2)
     residual_a = float(max(ext_res.max(), int_res.max()))
     wa_disk = 1.0 / np.conj(wa_ext)

@@ -68,6 +68,24 @@ def test_entries_accumulate_and_same_label_replaces(results, tmp_path):
     assert [(r["label"], r["commit"]) for r in runs] == [("parent", "p0"), ("change", "c1")]
 
 
+def test_values_by_seed_give_the_pairs(results, tmp_path):
+    args = [str(results), "--out-dir", str(tmp_path)]
+    bench_json.main(args + ["--label", "parent", "--commit", "p0"])
+    for seed, ops in [(1, 1.5), (2, 1.9), (3, 4.5), (4, 3.5)]:
+        path = results / f"wp_pairings-seed{seed}-trace0.json"
+        run = json.loads(path.read_text())
+        run["result"]["metrics"]["ops_per_s"]["value"] = ops
+        path.write_text(json.dumps(run))
+    bench_json.main(args + ["--label", "change", "--commit", "c1"])
+    parent, change = (r["metrics"]["ops_per_s"]
+                      for r in json.loads((tmp_path / "BENCH_wp_pairings.json").read_text())["runs"])
+    assert parent["by_seed"] == {"1": 1.0, "2": 2.0, "3": 4.0, "4": 3.0}
+    assert change["by_seed"] == {"1": 1.5, "2": 1.9, "3": 4.5, "4": 3.5}
+    # the change reads higher on seeds 1, 3 and 4, lower on seed 2
+    wins = [s for s in parent["by_seed"] if change["by_seed"][s] > parent["by_seed"][s]]
+    assert wins == ["1", "3", "4"]
+
+
 def test_empty_directory_is_an_error(tmp_path, capsys):
     assert bench_json.main([str(tmp_path), "--label", "x", "--out-dir", str(tmp_path)]) == 1
     assert "trace0" in capsys.readouterr().err

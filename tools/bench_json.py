@@ -8,8 +8,9 @@ per run.  For each workload found, one entry is added to
 ``BENCH_<workload>.json`` in ``--out-dir``:
 
 * the median, first and third quartile over the runs of every end-to-end
-  metric, and the pooled median latency of the successful operations of
-  each kind;
+  metric, next to each run's value by seed (so that runs of two commits on
+  the same seeds can be compared pair by pair), and the pooled median
+  latency of the successful operations of each kind;
 * the seeds, the repeat count (the number of runs), whether every run was
   correct, and the share of failed operations;
 * the numpy and Python versions, the machine and the CPU count of the
@@ -61,8 +62,10 @@ def summarize(runs: dict, label: str, commit: str) -> dict:
     results = [runs[s]["result"] for s in seeds]
     metrics = {}
     for name, first in results[0]["metrics"].items():
-        median, q1, q3 = _quartiles([r["metrics"][name]["value"] for r in results])
-        metrics[name] = {"unit": first["unit"], "median": median, "q1": q1, "q3": q3}
+        values = [r["metrics"][name]["value"] for r in results]
+        median, q1, q3 = _quartiles(values)
+        metrics[name] = {"unit": first["unit"], "median": median, "q1": q1, "q3": q3,
+                         "by_seed": {str(s): v for s, v in zip(seeds, values)}}
     by_kind = {}
     for s in seeds:
         for rec in runs[s]["records"]:
