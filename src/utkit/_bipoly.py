@@ -7,18 +7,22 @@ Beltrami iteration inside this term algebra makes normalization jets
 and residual identities exact rather than approximate.
 
 Exponents a, b are integers of either sign; the log power j is a
-nonnegative integer.  Each log level is stored as a dense complex
-coefficient array together with its (a, b) offsets.
+nonnegative integer.  A BiPoly is one dense complex block
+c[j, a - amin, b - bmin] over every log power j < J and the (a, b) box
+of all of them.  Each operation is a fixed number of numpy calls on the
+block, whatever the number of log powers or terms: sums and derivatives
+are shifted slices, the Cauchy transform one contraction with a
+triangular kernel in j, and the product one reduction over shifted
+windows per log power of its sparser factor (the solver's dilatation
+has one).
 
-Evaluation on the nodes r_k exp(+-2 pi i l/M) of a polar rule groups
-the terms by angular mode a - b and takes one FFT per ring (eval_rule),
+On the R x M nodes of a polar rule one real matmul sums each angular
+mode a - b per ring and one FFT per ring gives the values (eval_rule),
 at about nnz * R + R * M log M cost; arbitrary points go through
 polyval2d (eval), at nnz cost per point.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -26,38 +30,21 @@ from .errors import NonFiniteValue
 
 __all__ = ["BiPoly", "eval_principal"]
 
+_polyval = np.polynomial.polynomial.polyval
 _polyval2d = np.polynomial.polynomial.polyval2d
-
-
-def _merge(block1, block2):
-    arr1, am1, bm1 = block1
-    arr2, am2, bm2 = block2
-    amin = min(am1, am2)
-    bmin = min(bm1, bm2)
-    amax = max(am1 + arr1.shape[0], am2 + arr2.shape[0])
-    bmax = max(bm1 + arr1.shape[1], bm2 + arr2.shape[1])
-    arr = np.zeros((amax - amin, bmax - bmin), dtype=complex)
-    arr[am1 - amin:am1 - amin + arr1.shape[0],
-        bm1 - bmin:bm1 - bmin + arr1.shape[1]] += arr1
-    arr[am2 - amin:am2 - amin + arr2.shape[0],
-        bm2 - bmin:bm2 - bmin + arr2.shape[1]] += arr2
-    return arr, amin, bmin
-
-
-def _acc(levels, j, block):
-    arr = np.ascontiguousarray(block[0], dtype=complex)
-    block = (arr, block[1], block[2])
-    levels[j] = block if j not in levels else _merge(levels[j], block)
 
 
 class BiPoly:
     """Finite sum of terms coef * z**a * conj(z)**b * log|z|**j."""
 
-    __slots__ = ("_levels",)
+    __slots__ = ("_c", "_amin", "_bmin")
 
-    def __init__(self, levels=None):
-        # levels: dict j -> (complex 2d array, amin, bmin), taken by reference
-        self._levels = levels if levels is not None else {}
+    def __init__(self, c=None, amin=0, bmin=0):
+        # c[j, a - amin, b - bmin], complex, taken by reference and never
+        # written to afterwards
+        self._c = np.zeros((0, 0, 0), dtype=complex) if c is None else c
+        self._amin = int(amin)
+        self._bmin = int(bmin)
 
     @classmethod
     def zero(cls):
@@ -67,52 +54,56 @@ class BiPoly:
     def from_term(cls, coef, a, b, j=0):
         if j < 0:
             raise ValueError("log power must be nonnegative")
-        arr = np.array([[coef]], dtype=complex)
-        return cls({j: (arr, int(a), int(b))})
+        c = np.zeros((j + 1, 1, 1), dtype=complex)
+        c[j, 0, 0] = coef
+        return cls(c, a, b)
 
     # -- inspection ----------------------------------------------------
 
     @property
     def is_zero(self):
-        return all(not np.count_nonzero(arr) for arr, _, _ in self._levels.values())
+        return not np.count_nonzero(self._c)
 
     def terms(self):
         """Yield (coef, a, b, j) for every stored nonzero coefficient."""
-        for j in sorted(self._levels):
-            arr, amin, bmin = self._levels[j]
-            for ia, ib in zip(*np.nonzero(arr)):
-                yield complex(arr[ia, ib]), amin + int(ia), bmin + int(ib), j
+        c = self._c
+        for j, ia, ib in zip(*np.nonzero(c)):
+            yield complex(c[j, ia, ib]), self._amin + int(ia), self._bmin + int(ib), int(j)
 
     def coeff(self, a, b, j=0):
-        if j not in self._levels:
-            return 0j
-        arr, amin, bmin = self._levels[j]
-        ia, ib = a - amin, b - bmin
-        if 0 <= ia < arr.shape[0] and 0 <= ib < arr.shape[1]:
-            return complex(arr[ia, ib])
+        idx = (j, a - self._amin, b - self._bmin)
+        if all(0 <= i < n for i, n in zip(idx, self._c.shape)):
+            return complex(self._c[idx])
         return 0j
 
     def nnz(self):
-        return sum(int(np.count_nonzero(arr)) for arr, _, _ in self._levels.values())
+        return int(np.count_nonzero(self._c))
 
     def max_abs(self):
-        tops = [float(np.abs(arr).max()) for arr, _, _ in self._levels.values()
-                if arr.size]
-        return max(tops, default=0.0)
+        return float(np.abs(self._c).max()) if self._c.size else 0.0
 
     def __repr__(self):
-        return "BiPoly(nnz=%d, levels=%s)" % (self.nnz(), sorted(self._levels))
+        return "BiPoly(nnz=%d, log powers=%d)" % (self.nnz(), self._c.shape[0])
 
     # -- ring operations -----------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, BiPoly):
             return NotImplemented
-        out = {}
-        for src in (self._levels, other._levels):
-            for j, (arr, amin, bmin) in src.items():
-                _acc(out, j, (arr.copy(), amin, bmin))
-        return BiPoly(out)
+        if not other._c.size:
+            return self
+        if not self._c.size:
+            return other
+        pair = (self, other)
+        amin, bmin = min(p._amin for p in pair), min(p._bmin for p in pair)
+        out = np.zeros((max(p._c.shape[0] for p in pair),
+                        max(p._amin + p._c.shape[1] for p in pair) - amin,
+                        max(p._bmin + p._c.shape[2] for p in pair) - bmin), dtype=complex)
+        for p in pair:
+            nj, na, nb = p._c.shape
+            ia, ib = p._amin - amin, p._bmin - bmin
+            out[:nj, ia:ia + na, ib:ib + nb] += p._c
+        return BiPoly(out, amin, bmin)
 
     def __sub__(self, other):
         return self + (-other)
@@ -123,72 +114,77 @@ class BiPoly:
     def __mul__(self, other):
         if isinstance(other, BiPoly):
             return self._mul_bipoly(other)
-        c = complex(other)
-        return BiPoly({j: (arr * c, amin, bmin)
-                       for j, (arr, amin, bmin) in self._levels.items()})
+        return BiPoly(self._c * complex(other), self._amin, self._bmin)
 
     __rmul__ = __mul__
 
     def _mul_bipoly(self, other):
-        out = {}
-        for j1, (arr1, am1, bm1) in self._levels.items():
-            for j2, (arr2, am2, bm2) in other._levels.items():
-                # accumulate shifted copies of the denser factor
-                if np.count_nonzero(arr1) <= np.count_nonzero(arr2):
-                    small, big = arr1, arr2
+        if not (self._c.size and other._c.size):
+            return BiPoly()
+        # The product of two levels sums over the terms of the sparser one
+        # (self's on a tie) in their order, each term the left factor, so
+        # no coefficient's rounding depends on the boxes.  The sparser
+        # factor's terms gather shifted windows of g, summed ascending onto
+        # g's denser levels and descending (g's terms ascending) elsewhere.
+        counts = [np.count_nonzero(p._c, axis=(1, 2)) for p in (self, other)]
+        flip = counts[0].sum() > counts[1].sum()
+        (s, g), (s_nnz, g_nnz) = ((other, self), counts[::-1]) if flip else ((self, other), counts)
+        ns, nas, nbs = s._c.shape
+        ng, nag, nbg = g._c.shape
+        out = np.zeros((ns + ng - 1, nas + nag - 1, nbs + nbg - 1), dtype=complex)
+        pad = np.zeros((ng, nag + 2 * nas - 2, nbg + 2 * nbs - 2), dtype=complex)
+        pad[:, nas - 1:nas - 1 + nag, nbs - 1:nbs - 1 + nbg] = g._c
+        # window (nas - 1 - p, nbs - 1 - q) of pad is g shifted by (p, q)
+        windows = np.ndarray((ng, nas, nbs) + out.shape[1:], complex, pad, 0,
+                             pad.strides + pad.strides[1:])
+        for t in np.flatnonzero(s_nnz).tolist():
+            lead = s_nnz[t] < g_nnz if flip else s_nnz[t] <= g_nnz
+            ps, qs = np.nonzero(s._c[t])
+            vals = s._c[t, ps, qs][:, None, None]
+            for mask, step in ((lead, 1), (~lead, -1)):
+                hit = np.flatnonzero(mask)
+                if not hit.size:
+                    continue
+                lo, hi = int(hit[0]), int(hit[-1]) + 1
+                terms = windows[lo:hi, nas - 1 - ps[::step], nbs - 1 - qs[::step]]
+                terms[~mask[lo:hi]] = 0
+                if step == 1:
+                    np.multiply(vals, terms, out=terms)
                 else:
-                    small, big = arr2, arr1
-                conv = np.zeros((arr1.shape[0] + arr2.shape[0] - 1,
-                                 arr1.shape[1] + arr2.shape[1] - 1), dtype=complex)
-                h, w = big.shape
-                for ia, ib in zip(*np.nonzero(small)):
-                    conv[ia:ia + h, ib:ib + w] += small[ia, ib] * big
-                _acc(out, j1 + j2, (conv, am1 + am2, bm1 + bm2))
-        return BiPoly(out)
+                    np.multiply(terms, vals[::-1], out=terms)
+                out[t + lo:t + hi] += terms.sum(axis=1)
+        return BiPoly(out, self._amin + other._amin, self._bmin + other._bmin)
 
     def prune(self, rel=1e-18):
         """Drop coefficients below rel times the largest magnitude."""
-        top = self.max_abs()
+        mag = np.abs(self._c)
+        top = mag.max() if mag.size else 0.0
         if top == 0.0:
             return BiPoly()
-        cut = rel * top
-        out = {}
-        for j, (arr, amin, bmin) in self._levels.items():
-            keep = np.abs(arr) > cut
-            if not keep.any():
-                continue
-            rows = np.nonzero(keep.any(axis=1))[0]
-            cols = np.nonzero(keep.any(axis=0))[0]
-            trimmed = np.where(keep, arr, 0)[rows[0]:rows[-1] + 1,
-                                             cols[0]:cols[-1] + 1]
-            out[j] = (np.ascontiguousarray(trimmed),
-                      amin + int(rows[0]), bmin + int(cols[0]))
-        return BiPoly(out)
+        keep = mag > rel * top
+        ja = keep.any(axis=2)
+        levels = np.flatnonzero(ja.any(axis=1))
+        rows = np.flatnonzero(ja.any(axis=0))
+        cols = np.flatnonzero(keep.any(axis=(0, 1)))
+        box = (slice(0, levels[-1] + 1), slice(rows[0], rows[-1] + 1),
+               slice(cols[0], cols[-1] + 1))
+        return BiPoly(np.where(keep[box], self._c[box], 0),
+                      self._amin + int(rows[0]), self._bmin + int(cols[0]))
 
     # -- calculus ------------------------------------------------------
 
     def dz(self):
         # d/dz (z^a zbar^b L^j) = a z^(a-1) zbar^b L^j + (j/2) z^(a-1) zbar^b L^(j-1)
-        out = {}
-        for j, (arr, amin, bmin) in self._levels.items():
-            avals = np.arange(amin, amin + arr.shape[0], dtype=float)[:, None]
-            power = arr * avals
-            if np.count_nonzero(power):
-                _acc(out, j, (power, amin - 1, bmin))
-            if j > 0:
-                _acc(out, j - 1, (arr * (j / 2.0), amin - 1, bmin))
-        return BiPoly(out)
+        c = self._c
+        out = c * np.arange(self._amin, self._amin + c.shape[1])[:, None]
+        out[:-1] += c[1:] * (0.5 * np.arange(1, c.shape[0]))[:, None, None]
+        return BiPoly(out, self._amin - 1, self._bmin)
 
     def dzbar(self):
-        out = {}
-        for j, (arr, amin, bmin) in self._levels.items():
-            bvals = np.arange(bmin, bmin + arr.shape[1], dtype=float)[None, :]
-            power = arr * bvals
-            if np.count_nonzero(power):
-                _acc(out, j, (power, amin, bmin - 1))
-            if j > 0:
-                _acc(out, j - 1, (arr * (j / 2.0), amin, bmin - 1))
-        return BiPoly(out)
+        c = self._c
+        out = c * np.arange(self._bmin, self._bmin + c.shape[2])
+        out[:-1] += c[1:] * (0.5 * np.arange(1, c.shape[0]))[:, None, None]
+        return BiPoly(out, self._amin, self._bmin - 1)
 
     def cauchy(self):
         """Cauchy transform -(1/pi) * iint_D self(zeta)/(zeta - z) d2zeta.
@@ -199,54 +195,56 @@ class BiPoly:
         integral diverge at the origin (angular mode a - b <= 0 while
         b <= -1).
         """
-        out = {}
-        tail = {}
-        for j, (arr, amin, bmin) in self._levels.items():
-            na, nb = arr.shape
-            avals = np.arange(amin, amin + na)
-            bvals = np.arange(bmin, bmin + nb)
-            mvals = avals[:, None] - bvals[None, :]
-            bad = (arr != 0) & (mvals <= 0) & (bvals[None, :] <= -1)
-            if bad.any():
-                ia, ib = np.argwhere(bad)[0]
-                raise NonFiniteValue(
-                    "cauchy transform diverges for term z^%d zbar^%d log^%d"
-                    % (avals[ia], bvals[ib], j))
-            work = arr.copy()
-            logcol = None
-            if bmin <= -1 < bmin + nb:
-                col = -1 - bmin
-                logcol = work[:, col].copy()
-                work[:, col] = 0
-            # radial integral of r^(2b+1) L^i by parts; q = 2b + 2 != 0 here
-            q = np.where(bvals == -1, 1.0, 2.0 * bvals + 2.0)
-            fac = 1.0
-            for i in range(j + 1):
-                ci = (-1.0) ** i * fac / q ** (i + 1)
-                blk = 2.0 * work * ci[None, :]
-                if np.count_nonzero(blk):
-                    _acc(out, j - i, (blk, amin, bmin + 1))
-                fac *= (j - i)
-            # constant of integration: holomorphic inside, principal outside
-            f1 = (-1.0) ** j * math.factorial(j) / q ** (j + 1)
-            cterm = 2.0 * work * f1[None, :]
-            pos = (mvals >= 1) & (cterm != 0)
-            if pos.any():
-                mm = mvals[pos]
-                vec = np.zeros((int(mm.max()), 1), dtype=complex)
-                np.add.at(vec[:, 0], mm - 1, -cterm[pos])
-                _acc(out, 0, (vec, 0, 0))
-            neg = (mvals <= 0) & (cterm != 0)
-            if neg.any():
-                for p, c in zip(-mvals[neg], cterm[neg]):
-                    tail[int(p)] = tail.get(int(p), 0j) + c
-            # b == -1 column: the radial integral is a pure log power
-            if logcol is not None and np.count_nonzero(logcol):
-                _acc(out, j + 1, (2.0 * logcol[:, None] / (j + 1), amin, 0))
-        principal = np.zeros(max(tail, default=-1) + 1, dtype=complex)
-        for p, c in tail.items():
-            principal[p] = c
-        return BiPoly(out), principal
+        c = self._c
+        if not c.size:
+            return BiPoly(), np.zeros(0, dtype=complex)
+        nj, na, nb = c.shape
+        avals = np.arange(self._amin, self._amin + na)
+        bvals = np.arange(self._bmin, self._bmin + nb)
+        mode = np.broadcast_to(avals[:, None] - bvals, c.shape)
+        bad = np.argwhere((c != 0) & (mode <= 0) & (bvals <= -1))
+        if bad.size:
+            j, ia, ib = bad[0]
+            raise NonFiniteValue("cauchy transform diverges for term z^%d zbar^%d log^%d"
+                                 % (avals[ia], bvals[ib], j))
+        # the radial integral of r^(2b+1) L^j by parts, q = 2b + 2, turns
+        # c z^a zbar^b L^j into sum_{t <= j} K[t, j, b] c z^a zbar^(b+1) L^t
+        # with K[t, j, b] = 2 (-1)^(j-t) (j!/t!) q^-(j-t+1), plus a constant
+        # of integration; the b = -1 column (q = 0) integrates to a pure
+        # log power 2 c z^a L^(j+1) / (j+1) instead
+        q = np.where(bvals == -1, 1.0, 2.0 * bvals + 2.0)
+        gap = np.arange(nj) - np.arange(nj)[:, None]
+        falling = np.cumprod(np.where(gap > 0, np.arange(nj), 1.0), axis=1)
+        sign = np.where(gap % 2, -2.0, 2.0) * (gap >= 0)
+        kern = (sign * falling)[:, :, None] / q ** (np.maximum(gap, 0) + 1)[:, :, None]
+        kern[:, :, bvals == -1] = 0.0
+        # the constant, level by level K[0, j, b] c[j, a, b]: z^(m-1) inside
+        # for mode m >= 1 (summed per level, then over the levels), the
+        # principal z^(m-1) outside for m <= 0
+        const = c * kern[0][:, None, :]
+        pos = (mode >= 1) & (const != 0)
+        neg = (mode <= 0) & (const != 0)
+        principal = np.zeros(1 - int(mode[neg].min()) if neg.any() else 0, dtype=complex)
+        np.add.at(principal, -mode[neg], const[neg])
+        top = int(mode[pos].max()) if pos.any() else 0
+        hol = np.zeros((nj, top), dtype=complex)
+        np.add.at(hol, (np.nonzero(pos)[0], mode[pos] - 1), -const[pos])
+        # the interior box: (a, b + 1) of every term, z^(m-1) zbar^0 for
+        # the constants and L^(j+1) zbar^0 for the b = -1 column
+        has_log = self._bmin <= -1 < self._bmin + nb
+        amin, bmin = self._amin, self._bmin + 1
+        if top:
+            amin, bmin = min(amin, 0), min(bmin, 0)
+        out = np.zeros((nj + has_log, max(self._amin + na, top) - amin,
+                        max(self._bmin + nb + 1, int(top > 0)) - bmin), dtype=complex)
+        ia, ib = self._amin - amin, self._bmin + 1 - bmin
+        out[:nj, ia:ia + na, ib:ib + nb] = np.einsum("tjb,jab->tab", kern, c)
+        if top:
+            out[0, -amin:top - amin, -bmin] += hol.sum(axis=0)
+        if has_log:
+            out[1:, ia:ia + na, -bmin] += (2.0 * c[:, :, -1 - self._bmin]
+                                           / np.arange(1.0, nj + 1)[:, None])
+        return BiPoly(out, amin, bmin), principal
 
     # -- evaluation ----------------------------------------------------
 
@@ -258,50 +256,62 @@ class BiPoly:
         """
         z = np.asarray(z, dtype=complex)
         scalar = z.ndim == 0
+        if not self._c.size:
+            return 0j if scalar else np.zeros(z.shape, dtype=complex)
         zb = np.conj(z)
-        total = np.zeros(z.shape, dtype=complex)
-        if any(j > 0 for j in self._levels):
+        # one polynomial value per log power, then Horner in log|z|
+        total = _polyval2d(z, zb, np.moveaxis(self._c, 0, -1))
+        if total.shape[0] == 1:
+            total = total[0]
+        else:
             with np.errstate(divide="ignore"):
-                ell = np.log(np.abs(z))
-        for j, (arr, amin, bmin) in self._levels.items():
-            val = _polyval2d(z, zb, arr)
-            pref = z ** amin * zb ** bmin
-            if j:
-                pref = pref * ell ** j
-            total = total + pref * val
+                total = _polyval(np.log(np.abs(z)), total, tensor=False)
+        total = z ** self._amin * zb ** self._bmin * total
         return complex(total) if scalar else total
 
-    def eval_rule(self, rule, conjugate=False):
-        """Values at rule.nodes(), or at their conjugates, shape (R, M).
+    def _mode_sums(self, rule):
+        """B[k, m mod M] = sum over the terms of angular mode m = a - b of
+        coef * r_k**(a + b) * log(r_k)**j, shape (R, M).
 
-        On the ring r_k the terms of angular mode m = a - b collapse to
-        one coefficient sum_s c[m, s] r_k**s (times log(r_k)**j), and
-        on M equispaced angles mode m is indistinguishable from m mod M,
-        so each ring costs one FFT of length M whatever the mode span.
+        On the ring r_k the terms of mode m collapse to one coefficient,
+        and on M equispaced angles mode m is indistinguishable from
+        m mod M.
         """
         radii = rule.radii
         m_count = rule.angular_count
-        logr = np.log(radii)
-        bins = np.zeros((radii.size, m_count), dtype=complex)
-        for j, (arr, amin, bmin) in self._levels.items():
-            na, nb = arr.shape
-            ia = np.arange(na)[:, None]
-            ib = np.arange(nb)[None, :]
-            # shear (a, b) into (s, m) = (a + b, a - b), both offset to 0
-            sheared = np.zeros((na + nb - 1, na + nb - 1), dtype=complex)
-            sheared[ia + ib, ia - ib + nb - 1] = arr
-            svals = np.arange(na + nb - 1) + (amin + bmin)
-            per_mode = (radii[:, None] ** svals[None, :]) @ sheared
-            if j:
-                per_mode *= (logr ** j)[:, None]
-            modes = np.arange(amin - bmin - nb + 1, amin - bmin + na) % m_count
-            for start in range(0, modes.size, m_count):
-                # M consecutive modes land in M distinct bins
-                cols = slice(start, start + m_count)
-                bins[:, modes[cols]] += per_mode[:, cols]
+        c = self._c
+        if not c.size:
+            return np.zeros((radii.size, m_count), dtype=complex)
+        nj, na, nb = c.shape
+        span = na + nb - 1
+        # shear (a, b) into (s, m) = (a + b, a - b), both offset to 0, as
+        # one strided write
+        sheared = np.zeros((nj, span, span), dtype=complex)
+        item = sheared.itemsize
+        np.ndarray(c.shape, complex, sheared, (nb - 1) * item,
+                   (span * span * item, (span + 1) * item, (span - 1) * item))[...] = c
+        # the real table log(r_k)^j r_k^s against the float view of the block
+        table = (np.log(radii)[:, None, None] ** np.arange(nj)[:, None]
+                 * radii[:, None, None] ** (np.arange(span) + self._amin + self._bmin))
+        per_mode = (table.reshape(radii.size, nj * span)
+                    @ sheared.view(float).reshape(nj * span, 2 * span)).view(complex)
+        # fold: column i holds mode amin - bmin - nb + 1 + i
+        first = (self._amin - self._bmin - nb + 1) % m_count
+        width = -(-(first + span) // m_count) * m_count
+        bins = np.zeros((radii.size, width), dtype=complex)
+        bins[:, first:first + span] = per_mode
+        if width > m_count:
+            bins = bins.reshape(radii.size, -1, m_count).sum(axis=1)
+        return bins
+
+    def eval_rule(self, rule, conjugate=False):
+        """Values at rule.nodes(), or at their conjugates, shape (R, M):
+        one FFT of length M per ring of the mode sums, whatever the mode
+        span."""
+        bins = self._mode_sums(rule)
         if conjugate:
             return np.fft.fft(bins, axis=1)
-        return m_count * np.fft.ifft(bins, axis=1)
+        return np.fft.ifft(bins, axis=1, norm="forward")
 
 
 def eval_principal(principal, z):

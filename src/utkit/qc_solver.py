@@ -155,7 +155,7 @@ def _fit_bipoly(gf: GridFunction, deg_z: int, deg_zbar: int):
         arr.flat[cols] = coef
         spec[:, q] -= powers @ coef
     resid = float(np.max(np.abs(np.fft.ifft(spec, axis=1)))) * m_count
-    return BiPoly({0: (arr, 0, -1)}).prune(0.0), resid
+    return BiPoly(arr[None], 0, -1).prune(0.0), resid
 
 
 def beurling_transform(h, z, *, degrees=(6, 18), tol=1e-6) -> complex:
@@ -202,25 +202,27 @@ def _nu_from_mu(mu: BeltramiField, degrees):
     if mu.domain is not Domain.EXTERIOR_DISK:
         raise DomainMismatch("solver dilatations live on the exterior disk")
     if mu.is_harmonic:
-        out = BiPoly.zero()
-        for n, an in zip(mu.n_values, mu.a):
-            if an == 0:
-                continue
-            c = -0.5 * (n**3 - n) * an
-            out = out + BiPoly.from_term(c, 0, n - 2)
-            out = out + BiPoly.from_term(-2.0 * c, 1, n - 1)
-            out = out + BiPoly.from_term(c, 2, n)
-        return out, 0.0
+        # c (zbar^(n-2) - 2 z zbar^(n-1) + z^2 zbar^n) for every n with a_n != 0
+        n = mu.n_values[mu.a != 0]
+        if not n.size:
+            return BiPoly.zero(), 0.0
+        c = -0.5 * (n**3 - n) * mu.a[mu.a != 0]
+        arr = np.zeros((1, 3, n[-1] - n[0] + 3), dtype=complex)
+        rows = np.arange(3)[:, None]
+        arr[0, rows, n - n[0] + rows] = np.array([[1.0], [-2.0], [1.0]]) * c
+        return BiPoly(arr, 0, n[0] - 2), 0.0
     pulled = mu.iota_star()
     return _fit_bipoly(pulled.grid, *degrees)
 
 
 def _l2_disk(bp: BiPoly, rule: QuadRule) -> float:
+    """L2 norm over the disk by the rule, through Parseval on each ring:
+    2 pi sum_k w_k sum_q |B_kq|^2 for the mode sums B of bp."""
     if bp.is_zero:
         return 0.0
-    vals = bp.eval_rule(rule)
-    total = pairwise_dot(rule.node_weights(), np.abs(vals) ** 2)
-    return math.sqrt(float(np.real(total)))
+    sums = bp._mode_sums(rule).view(float)
+    ring = np.einsum("kq,kq->k", sums, sums)
+    return math.sqrt(2.0 * math.pi * float(pairwise_dot(rule.radial_weights, ring).real))
 
 
 class _SeriesState:
@@ -240,39 +242,22 @@ class _SeriesState:
         self.ratios = []
         self.grid_w_tilde = None
         self.grid_residual = None
-        self._dz = None
-        self._dzbar = None
 
     def push(self):
         pk, tk = self.h.cauchy()
         self.interior = self.interior + pk
-        if tk.size > self.tail.size:
-            tk = tk.copy()
-            tk[:self.tail.size] += self.tail
-            self.tail = tk
-        else:
-            self.tail[:tk.size] += tk
+        tail = np.zeros(max(tk.size, self.tail.size), dtype=complex)
+        tail[:self.tail.size] = self.tail
+        tail[:tk.size] += tk
+        self.tail = tail
         self.h = (self.nu * pk.dz()).prune()
         self.terms += 1
-        self._dz = self._dzbar = None
 
     def w_tilde(self, zeta):
         return zeta + self.interior.eval(zeta)
 
     def w_tilde_ext(self, zeta):
-        out = eval_principal(self.tail, zeta)
-        out += zeta
-        return out
-
-    def dz_interior(self):
-        if self._dz is None:
-            self._dz = self.interior.dz()
-        return self._dz
-
-    def dzbar_interior(self):
-        if self._dzbar is None:
-            self._dzbar = self.interior.dzbar()
-        return self._dzbar
+        return eval_principal(self.tail, zeta) + zeta
 
     def residual_sup(self, rule: QuadRule) -> float:
         """sup |w_zbar - mu w_z| of the truncated map over the exterior
@@ -427,11 +412,7 @@ class QCMap:
         inside = np.abs(z) <= 1.0
         pick = inside & (z != 0)
         if pick.any():
-            zeta = z[pick]
-            np.divide(1.0, zeta, out=zeta)
-            vals = self._series.w_tilde_ext(zeta)
-            np.divide(1.0, vals, out=vals)
-            out[pick] = vals
+            out[pick] = 1.0 / self._series.w_tilde_ext(1.0 / z[pick])
         zout = z[~inside]
         if zout.size:
             out[~inside] = 1.0 / self._series.w_tilde(1.0 / zout)
@@ -456,8 +437,8 @@ class QCMap:
         if zout.size:
             zeta = 1.0 / zout
             wt = self._series.w_tilde(zeta)
-            dz_wt = 1.0 + self._series.dz_interior().eval(zeta)
-            dzb_wt = self._series.dzbar_interior().eval(zeta)
+            dz_wt = 1.0 + self._series.interior.dz().eval(zeta)
+            dzb_wt = self._series.interior.dzbar().eval(zeta)
             wz[~inside] = dz_wt / (zout**2 * wt**2)
             wzb[~inside] = dzb_wt / (np.conj(zout) ** 2 * wt**2)
         return wz, wzb
@@ -615,11 +596,16 @@ def solve_beltrami(mu: BeltramiField, normalization: str = "ModelB",
     shell = QCMap(grid=(), mu=mu, normalization="ModelB",
                   seriesTermCount=state.terms, residualNorm=residual,
                   _series=state)
-    disk_nodes = rule.nodes(Domain.UNIT_DISK)
-    disk_vals = shell._eval_b(disk_nodes)
     ext_vals = 1.0 / state.grid_w_tilde
 
     if normalization == "ModelB":
+        # w = 1/w~(1/z) = 1/(1/z + sum_p tail[p] z^(p+1)) on the disk nodes,
+        # the sum by one FFT per ring and the rest in place: on the
+        # solver's rule every fresh array is a fresh mapping of pages
+        disk_vals = BiPoly(state.tail[None, :, None], 1, 0).eval_rule(rule)
+        inv = rule.nodes()
+        disk_vals += np.divide(1.0, inv, out=inv)
+        np.divide(1.0, disk_vals, out=disk_vals)
         checks = _interior_jets(shell)
         checks["contractionFactor"] = c_eff
         return QCMap(
@@ -647,7 +633,7 @@ def solve_beltrami(mu: BeltramiField, normalization: str = "ModelB",
     phi_ext, dphi_ext = _phi_eval(phi, ext_vals, deriv=True)
     ext_res = np.abs(mhat.derivative(phi_ext) * dphi_ext) * np.abs(res_field)
     wa_ext = mhat.apply(phi_ext)
-    int_res = ext_res / (np.abs(disk_nodes) ** 2 * np.abs(wa_ext) ** 2)
+    int_res = ext_res / (rule.radii[:, None] ** 2 * np.abs(wa_ext) ** 2)
     residual_a = float(max(ext_res.max(), int_res.max()))
     wa_disk = 1.0 / np.conj(wa_ext)
     fixed = mhat.apply(phi_anchor)

@@ -321,10 +321,13 @@ def integrate_uhp(f, rule: QuadRule | None = None,
 # resolvent application
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=8)
 def _recentred_radial_rule(levels: int = 24, order: int = 10):
-    """Radial rule in t = r^2 graded toward t = 0 for the log singularity."""
-    return graded_panels(0.0, 1.0, toward=0.0, levels=levels, ratio=0.25,
-                         order=order)
+    """Radial rule in t = r^2 graded toward t = 0 for the log singularity,
+    shared read-only by every call with the same (levels, order)."""
+    t, wt = graded_panels(0.0, 1.0, toward=0.0, levels=levels, ratio=0.25, order=order)
+    t.flags.writeable = wt.flags.writeable = False
+    return t, wt
 
 
 def _apply_resolvent_callable(f, z: complex, domain: Domain, rule: QuadRule,

@@ -89,3 +89,50 @@ def test_values_by_seed_give_the_pairs(results, tmp_path):
 def test_empty_directory_is_an_error(tmp_path, capsys):
     assert bench_json.main([str(tmp_path), "--label", "x", "--out-dir", str(tmp_path)]) == 1
     assert "trace0" in capsys.readouterr().err
+
+
+def test_compare_counts_pairs_and_applies_the_gain_rule(tmp_path, capsys):
+    def entry(label, values):
+        ordered = sorted(values.values())
+        median, q1, q3 = bench_json._quartiles(ordered)
+        return {"label": label, "commit": label[0], "repeats": len(values),
+                "metrics": {name: {"median": m, "q1": a, "q3": b,
+                                   "by_seed": {str(s): sign * v for s, v in values.items()}}
+                            for name, sign, (m, a, b) in
+                            [("ops_per_s", 1.0, (median, q1, q3)),
+                             ("op_p50_ms", -1.0, (-median, -q3, -q1))]}}
+
+    parent = {s: 10.0 + 0.1 * s for s in range(10)}
+    change = {s: 12.0 + 0.1 * s for s in range(10)}
+    change[3] = 9.0     # one pair lost: 9 of 10 still meets the rule
+    runs = [entry("parent", parent), entry("change", change)]
+    (tmp_path / "BENCH_modelb_bers.json").write_text(
+        json.dumps({"workload": "modelb_bers", "runs": runs}))
+    # a file without both labels is skipped
+    (tmp_path / "BENCH_wp_pairings.json").write_text(
+        json.dumps({"workload": "wp_pairings", "runs": runs[:1]}))
+    directions = {"ops_per_s": "higher", "op_p50_ms": "lower"}
+    rows = bench_json.compare(tmp_path, "parent", "change", directions)["modelb_bers"]
+    assert list(bench_json.compare(tmp_path, "parent", "change", directions)) == ["modelb_bers"]
+    # latency is the same numbers negated: lower is better, so it wins alike
+    for name in directions:
+        assert (rows[name]["won"], rows[name]["pairs"]) == (9, 10)
+        assert rows[name]["gain"]
+    assert rows["ops_per_s"]["gap"] == pytest.approx(2.0)
+    # a median gap inside the parent's IQR is no gain, however many pairs
+    wide = bench_json.compare_metric(
+        {"median": 10.0, "q1": 8.0, "q3": 12.0, "by_seed": {"1": 10.0, "2": 10.0}},
+        {"median": 11.0, "q1": 11.0, "q3": 11.0, "by_seed": {"1": 11.0, "2": 11.0}}, "higher")
+    assert (wide["won"], wide["gain"]) == (2, False)
+    # ties are not wins; 8 of 10 falls short
+    short = bench_json.compare_metric(
+        {"median": 1.0, "q1": 1.0, "q3": 1.0, "by_seed": {str(s): 1.0 for s in range(10)}},
+        {"median": 5.0, "q1": 5.0, "q3": 5.0,
+         "by_seed": {str(s): 1.0 if s < 2 else 5.0 for s in range(10)}}, "higher")
+    assert (short["won"], short["gain"]) == (8, False)
+    capsys.readouterr()
+    args = ["--out-dir", str(tmp_path), "--compare", "parent"]
+    assert bench_json.main(args + ["change"]) == 0
+    out = capsys.readouterr().out
+    assert "modelb_bers" in out and "won 9 of 10" in out and "wp_pairings" not in out
+    assert bench_json.main(args + ["nothing"]) == 1

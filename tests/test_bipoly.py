@@ -202,5 +202,54 @@ class TestEvalRule:
         assert ring_err <= poly_err
 
 
+class TestDeepLogLevels:
+    # the Neumann iterate of 0.3 z/zbar after 12 terms spans log powers
+    # 0..12, all in the b = -1 column; times 1 + zbar^2 - 0.5i zbar^3 it
+    # also fills columns b = 1, 2 of modes 0 and -1 at every log power
+    @pytest.fixture(scope="class", params=["iterate", "times zbar powers"])
+    def iterate(self, request):
+        nu = BiPoly.from_term(0.3, 1, -1)
+        h = nu
+        for _ in range(12):
+            h = (nu * h.cauchy()[0].dz()).prune()
+        if request.param == "iterate":
+            return h
+        return h * (BiPoly.from_term(1.0, 0, 0) + BiPoly.from_term(1.0, 0, 2)
+                    + BiPoly.from_term(-0.5j, 0, 3))
+
+    def test_spans_twelve_log_powers(self, iterate):
+        assert {j for *_, j in iterate.terms()} == set(range(13))
+
+    def test_dzbar_inverts_cauchy_term_by_term(self, iterate):
+        back = iterate.cauchy()[0].dzbar()
+        want = {(a, b, j): c for c, a, b, j in iterate.terms()}
+        got = {(a, b, j): c for c, a, b, j in back.terms()}
+        assert set(got) == set(want)
+        for key, c in want.items():
+            assert got[key] == pytest.approx(c, rel=1e-13)
+
+    def test_eval_rule_against_mpmath(self, iterate):
+        mpmath = pytest.importorskip("mpmath")
+        rule = QuadRule(12, 24)
+        z = rule.nodes()
+        ring = iterate.eval_rule(rule)
+        terms = list(iterate.terms())
+        with mpmath.workdps(40):
+            for k, l in ((11, 1), (11, 7), (10, 13), (9, 20), (6, 5), (0, 11)):
+                zz = mpmath.mpc(complex(z[k, l]))
+                zb, ell = mpmath.conj(zz), mpmath.log(abs(zz))
+                ref = complex(mpmath.fsum(mpmath.mpc(c) * zz**a * zb**b * ell**j
+                                          for c, a, b, j in terms))
+                scale = float(mpmath.fsum(abs(c) * abs(zz) ** (a + b) * abs(ell) ** j
+                                          for c, a, b, j in terms))
+                assert abs(ring[k, l] - ref) <= 1e-14 * scale
+
+    def test_interior_and_exterior_agree_on_circle(self, iterate):
+        inner, tail = iterate.cauchy()
+        z = np.exp(1j * np.array([0.3, 1.1, 2.9, 4.2]))
+        np.testing.assert_allclose(inner.eval(z), eval_principal(tail, z),
+                                   rtol=1e-12, atol=1e-12 * iterate.max_abs())
+
+
 def test_eval_principal_empty():
     assert eval_principal(np.zeros(0, dtype=complex), 2.0 + 0j) == 0.0

@@ -504,3 +504,45 @@ def test_model_a_contract_sweep(modes, sup, welds):
         except FitFailure:
             if welds:
                 raise
+
+
+def _pinned_fields():
+    rng = np.random.default_rng(20261018)
+    for modes in (1, 2, 4, 8):
+        for sup in (0.1, 0.3, 0.49):
+            mu = harmonic(rng.normal(size=modes) + 1j * rng.normal(size=modes))
+            yield f"m{modes}/s{sup}", mu.scaled(sup / mu.sup_norm()), 1e-8, None
+    rule = QuadRule(32, 64)
+    ext = rule.nodes(Domain.EXTERIOR_DISK)
+    for k in (0.2, 0.3):
+        grid = GridFunction(rule, Domain.EXTERIOR_DISK, k * ext / np.conj(ext))
+        yield f"k{k}", BeltramiField.sampled(grid), 1e-8, rule
+    rng = np.random.default_rng(39)
+    mu = harmonic(rng.normal(size=8) + 1j * rng.normal(size=8))
+    yield "seed39", mu.scaled(0.3 / mu.sup_norm()), 1e-10, None
+
+
+# (terms) or (exception type, message) of each Model B solve, as recorded
+# before the term algebra moved to one block per polynomial
+_PINNED = {
+    "m1/s0.1": 5, "m1/s0.3": 7, "m1/s0.49": 8,
+    "m2/s0.1": 5, "m2/s0.3": 8, "m2/s0.49": 10,
+    "m4/s0.1": 6, "m4/s0.3": 9, "m4/s0.49": 11,
+    "m8/s0.1": 6, "m8/s0.3": 10,
+    "m8/s0.49": (NoConvergence, "series ratio 2.371 broke the contraction bound 0.950"),
+    "k0.2": 17,
+    "k0.3": (NoConvergence, "series ratio 1.244 broke the contraction bound 0.950"),
+    # a round-off floor reported as a broken contraction: the ratio is
+    # rounding noise, so it moves with any change to the arithmetic
+    "seed39": (NoConvergence, "series ratio 1.764 broke the contraction bound 0.950"),
+}
+
+
+def test_stopping_decisions_are_pinned():
+    got = {}
+    for name, mu, tol, rule in _pinned_fields():
+        try:
+            got[name] = solve_beltrami(mu, "ModelB", tol, rule=rule).seriesTermCount
+        except NoConvergence as exc:
+            got[name] = (type(exc), str(exc))
+    assert got == _PINNED

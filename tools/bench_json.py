@@ -1,6 +1,7 @@
 """Summarize interleaved benchmark runs into BENCH_<workload>.json.
 
     python3 tools/bench_json.py RESULTS_DIR --label change [--commit SHA] [--out-dir .]
+    python3 tools/bench_json.py --compare PARENT_LABEL CHANGE_LABEL [--out-dir .]
 
 RESULTS_DIR holds the ``<workload>-seed<n>-trace0.json`` files that
 ``python3 wpbench/run.py --trace 0`` writes under ``wpbench/results/``, one
@@ -21,6 +22,14 @@ per run.  For each workload found, one entry is added to
 
 An entry with the same commit and label is replaced; every other entry is
 kept, so one file collects the reference runs of successive changes.
+
+With ``--compare``, nothing is written.  For every ``BENCH_<workload>.json``
+in ``--out-dir`` that holds both labels (the last entry of each), and every
+end-to-end metric, it prints both sides' median and quartiles, the pairs
+the change won (runs matched by seed; a tie is not a win) and whether the
+gain rule holds: at least 9 in 10 pairs won, and the medians further apart
+than the parent's interquartile range.  Which side of a metric is better
+comes from ``BENCHMARK.json`` (``--benchmark``).
 """
 
 from __future__ import annotations
@@ -38,6 +47,10 @@ from pathlib import Path
 import numpy as np
 
 RUN_FILE = re.compile(r"(?P<workload>\w+)-seed(?P<seed>-?\d+)-trace0\.json")
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+# the gain rule: this share of the pairs won, and a median gap beyond the
+# parent's interquartile range
+GAIN_SHARE = 0.9
 
 
 def _quartiles(values):
@@ -87,13 +100,63 @@ def summarize(runs: dict, label: str, commit: str) -> dict:
     }
 
 
+def compare_metric(parent: dict, change: dict, better: str) -> dict:
+    """Medians, quartiles, pairs won and the gain rule for one metric of
+    two entries; better is "higher" or "lower"."""
+    sign = 1.0 if better == "higher" else -1.0
+    common = sorted(set(parent.get("by_seed", {})) & set(change.get("by_seed", {})), key=int)
+    won = sum(sign * (change["by_seed"][s] - parent["by_seed"][s]) > 0 for s in common)
+    gap = sign * (change["median"] - parent["median"])
+    iqr = parent["q3"] - parent["q1"]
+    return {"parent": (parent["median"], parent["q1"], parent["q3"]),
+            "change": (change["median"], change["q1"], change["q3"]),
+            "won": won, "pairs": len(common), "gap": gap, "parent_iqr": iqr,
+            "gain": bool(common) and won >= GAIN_SHARE * len(common) and gap > iqr}
+
+
+def compare(out_dir: Path, parent_label: str, change_label: str, directions: dict) -> dict:
+    """{workload: {metric: compare_metric(...)}} over the BENCH files that
+    hold both labels."""
+    found = {}
+    for path in sorted(out_dir.glob("BENCH_*.json")):
+        with open(path) as fh:
+            doc = json.load(fh)
+        last = {e["label"]: e for e in doc["runs"]}
+        if parent_label not in last or change_label not in last:
+            continue
+        parent, change = last[parent_label], last[change_label]
+        rows = {name: compare_metric(parent["metrics"][name], change["metrics"][name], better)
+                for name, better in directions.items()
+                if name in parent["metrics"] and name in change["metrics"]}
+        print(f"{doc['workload']}: {parent_label} @ {parent['commit']} ({parent['repeats']} runs)"
+              f" vs {change_label} @ {change['commit']} ({change['repeats']} runs)")
+        for name, row in rows.items():
+            (pm, p1, p3), (cm, c1, c3) = row["parent"], row["change"]
+            print(f"  {name}: {pm:.4g} [{p1:.4g}, {p3:.4g}] -> {cm:.4g} [{c1:.4g}, {c3:.4g}],"
+                  f" won {row['won']} of {row['pairs']}, median gap {row['gap']:.3g} against"
+                  f" parent IQR {row['parent_iqr']:.3g}: {'GAIN' if row['gain'] else 'no gain'}")
+        found[doc["workload"]] = rows
+    return found
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("results", type=Path)
-    parser.add_argument("--label", required=True)
+    parser.add_argument("results", type=Path, nargs="?")
+    parser.add_argument("--label")
     parser.add_argument("--commit")
     parser.add_argument("--out-dir", type=Path, default=Path("."))
+    parser.add_argument("--compare", nargs=2, metavar=("PARENT_LABEL", "CHANGE_LABEL"))
+    parser.add_argument("--benchmark", type=Path, default=BENCHMARK)
     args = parser.parse_args(argv)
+    if args.compare:
+        with open(args.benchmark) as fh:
+            directions = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        if not compare(args.out_dir, *args.compare, directions):
+            print(f"no BENCH_*.json in {args.out_dir} holds both labels", file=sys.stderr)
+            return 1
+        return 0
+    if args.results is None or args.label is None:
+        parser.error("RESULTS_DIR and --label are required without --compare")
     runs = {}
     for path in sorted(args.results.glob("*-trace0.json")):
         match = RUN_FILE.fullmatch(path.name)
