@@ -29,7 +29,7 @@ end-to-end metric, it prints both sides' median and quartiles, the pairs
 the change won (runs matched by seed; a tie is not a win) and whether the
 gain rule holds: at least 9 in 10 pairs won, and the medians further apart
 than the parent's interquartile range.  Which side of a metric is better
-comes from ``BENCHMARK.json`` (``--benchmark``).
+comes from the ``BENCHMARK.json`` of this checkout.
 """
 
 from __future__ import annotations
@@ -146,10 +146,9 @@ def main(argv=None) -> int:
     parser.add_argument("--commit")
     parser.add_argument("--out-dir", type=Path, default=Path("."))
     parser.add_argument("--compare", nargs=2, metavar=("PARENT_LABEL", "CHANGE_LABEL"))
-    parser.add_argument("--benchmark", type=Path, default=BENCHMARK)
     args = parser.parse_args(argv)
     if args.compare:
-        with open(args.benchmark) as fh:
+        with open(BENCHMARK) as fh:
             directions = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
         if not compare(args.out_dir, *args.compare, directions):
             print(f"no BENCH_*.json in {args.out_dir} holds both labels", file=sys.stderr)
