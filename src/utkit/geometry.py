@@ -1,16 +1,15 @@
-"""Hyperbolic geometry of the disk, its exterior, and the upper half plane.
+"""Hyperbolic geometry of the disk and its exterior.
 
 The unit circle splits the sphere into the unit disk and its exterior; both
 carry the complete hyperbolic metric of curvature -1/2 normalization used
-throughout this package, with density 4/(1-|z|^2)^2.  The upper half plane
-carries y^-2.  The exterior domain includes the point at infinity, which is
-represented by a non-finite complex value.
+throughout this package, with density 4/(1-|z|^2)^2.  The exterior domain
+includes the point at infinity, which is represented by a non-finite
+complex value.
 
 Key objects:
 
 * ``MoebiusMap``: circle-preserving fractional linear maps in (a, b) form,
   z -> (a z + b)/(conj(b) z + conj(a)) with |a|^2 - |b|^2 = 1.
-* ``CayleyMap``: the exchange between half plane and disk.
 * ``point_pair_invariant``: u(z, w) = |z-w|^2 / ((1-|z|^2)(1-|w|^2)), the
   cross-ratio invariant the resolvent kernel is a function of.
 * ``resolvent_kernel``: G = ((2u+1)/(2 pi)) log((u+1)/u) - 1/pi, evaluated
@@ -37,7 +36,6 @@ _PSU_TOL = 1e-12
 class Domain(Enum):
     UNIT_DISK = "UnitDisk"
     EXTERIOR_DISK = "ExteriorDisk"
-    UPPER_HALF_PLANE = "UpperHalfPlane"
 
 
 def is_infinity(z: complex) -> bool:
@@ -48,8 +46,8 @@ def is_infinity(z: complex) -> bool:
 class DiskPoint:
     """A point tagged with the domain it lives in.
 
-    The exterior domain admits the point at infinity; the other domains do
-    not.  Construction validates strict membership: boundary points raise
+    The exterior domain admits the point at infinity; the disk does not.
+    Construction validates strict membership: boundary points raise
     ``BoundaryPoint`` and points on the wrong side raise ``DomainMismatch``.
     """
 
@@ -63,19 +61,13 @@ class DiskPoint:
             if self.domain is not Domain.EXTERIOR_DISK:
                 raise DomainMismatch("infinity belongs to the exterior domain only")
             return
-        if self.domain is Domain.UPPER_HALF_PLANE:
-            if z.imag == 0.0:
-                raise BoundaryPoint(f"{z} lies on the real axis")
-            if z.imag < 0.0:
-                raise DomainMismatch(f"{z} is below the real axis")
-        else:
-            r = abs(z)
-            if r == 1.0:
-                raise BoundaryPoint(f"{z} lies on the unit circle")
-            if self.domain is Domain.UNIT_DISK and r > 1.0:
-                raise DomainMismatch(f"{z} is outside the unit disk")
-            if self.domain is Domain.EXTERIOR_DISK and r < 1.0:
-                raise DomainMismatch(f"{z} is inside the unit disk")
+        r = abs(z)
+        if r == 1.0:
+            raise BoundaryPoint(f"{z} lies on the unit circle")
+        if self.domain is Domain.UNIT_DISK and r > 1.0:
+            raise DomainMismatch(f"{z} is outside the unit disk")
+        if self.domain is Domain.EXTERIOR_DISK and r < 1.0:
+            raise DomainMismatch(f"{z} is inside the unit disk")
 
     @classmethod
     def disk(cls, z) -> "DiskPoint":
@@ -84,10 +76,6 @@ class DiskPoint:
     @classmethod
     def exterior(cls, z) -> "DiskPoint":
         return cls(complex(z), Domain.EXTERIOR_DISK)
-
-    @classmethod
-    def uhp(cls, z) -> "DiskPoint":
-        return cls(complex(z), Domain.UPPER_HALF_PLANE)
 
     @classmethod
     def infinity(cls) -> "DiskPoint":
@@ -101,11 +89,8 @@ class DiskPoint:
 def hyperbolic_density(p: DiskPoint) -> float:
     """Density of the hyperbolic area form at an interior point.
 
-    4/(1-|z|^2)^2 on the disk and its exterior (the limit at infinity is 0),
-    (Im z)^-2 on the upper half plane.
+    4/(1-|z|^2)^2 on the disk and its exterior (the limit at infinity is 0).
     """
-    if p.domain is Domain.UPPER_HALF_PLANE:
-        return 1.0 / (p.value.imag ** 2)
     if p.is_infinity:
         return 0.0
     d = 1.0 - abs(p.value) ** 2
@@ -113,15 +98,12 @@ def hyperbolic_density(p: DiskPoint) -> float:
 
 
 def point_pair_invariant(z: DiskPoint, w: DiskPoint) -> float:
-    """u(z, w) = |z-w|^2 / ((1-|z|^2)(1-|w|^2)) on disk-type domains.
+    """u(z, w) = |z-w|^2 / ((1-|z|^2)(1-|w|^2)).
 
     Invariant under simultaneous application of any ``MoebiusMap`` and under
     the inversion z -> 1/conj(z) applied to both points.  With one argument
     at infinity the limit 1/(|w|^2 - 1) is returned.
     """
-    for p in (z, w):
-        if p.domain is Domain.UPPER_HALF_PLANE:
-            raise DomainMismatch("point pair invariant is defined on disk domains")
     if z.domain is not w.domain:
         raise DomainMismatch("points must share a domain")
     if z.is_infinity and w.is_infinity:
@@ -373,52 +355,3 @@ class MoebiusMap:
         if den == 0:
             raise CriticalPoint("derivative requested at the pole of the map")
         return 1.0 / (den * den)
-
-
-@dataclass(frozen=True)
-class CayleyMap:
-    """The exchange 𝕌 <-> 𝔻: z -> (z - i)/(z + i) and w -> i(1 + w)/(1 - w).
-
-    ``direction`` selects which leg an instance evaluates; ``jacobian`` is
-    the area scale factor |derivative|^2, the one that intertwines the two
-    hyperbolic densities.
-    """
-
-    direction: str = "to_disk"
-
-    def __post_init__(self):
-        if self.direction not in ("to_disk", "to_uhp"):
-            raise ValueError(f"unknown direction {self.direction!r}")
-
-    def inverse(self) -> "CayleyMap":
-        other = "to_uhp" if self.direction == "to_disk" else "to_disk"
-        return CayleyMap(other)
-
-    def apply(self, z):
-        if isinstance(z, np.ndarray):
-            if self.direction == "to_disk":
-                return (z - 1j) / (z + 1j)
-            return 1j * (1.0 + z) / (1.0 - z)
-        z = complex(z)
-        if self.direction == "to_disk":
-            if z.imag == 0.0 and math.isfinite(z.real):
-                raise BoundaryPoint("real axis maps to the unit circle")
-            if is_infinity(z):
-                return complex(1.0, 0.0)
-            return (z - 1j) / (z + 1j)
-        if abs(z) == 1.0:
-            raise BoundaryPoint("unit circle maps to the extended real axis")
-        return 1j * (1.0 + z) / (1.0 - z)
-
-    def __call__(self, z):
-        return self.apply(z)
-
-    def derivative(self, z):
-        z = np.asarray(z, dtype=complex) if isinstance(z, np.ndarray) else complex(z)
-        if self.direction == "to_disk":
-            return 2j / (z + 1j) ** 2
-        return 2j / (1.0 - z) ** 2
-
-    def jacobian(self, z) -> float:
-        d = self.derivative(z)
-        return np.abs(d) ** 2 if isinstance(d, np.ndarray) else abs(d) ** 2

@@ -39,7 +39,9 @@ def _cuts(near: float, far: float, ratio: float) -> np.ndarray:
 def _psi_scaled(q: int, x) -> np.ndarray:
     """r^q psi_q(r), bounded on (0, 1]; a series of positive terms in t
     where max(q, 1) t < 1, since psi_q sinh(t) = sum_m c_m t^(2m+1) / (2m+1)!
-    with c_m = ((q+1)^(2m) - (q-1)^(2m)) / (2q), and c_m = 2m at q = 0."""
+    with c_m = ((q+1)^(2m) - (q-1)^(2m)) / (2q), and c_m = 2m at q = 0.
+    The c_m are exact in Python ints; a numpy int q would overflow them."""
+    q = int(q)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     t = -np.log(x)
     near = max(q, 1) * t < 1.0

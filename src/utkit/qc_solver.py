@@ -105,16 +105,12 @@ def cauchy_transform(h: GridFunction, z) -> complex:
     z = complex(z)
     rule = h.rule
     diffs = h.nodes() - z
-    weights = rule.node_weights()
-    if not rule.patch.enabled:
-        out = -pairwise_dot(weights, h.values / diffs) / math.pi
-    else:
-        delta = rule.patch_radius
-        eta = _smoothstep(np.abs(diffs) / delta)
-        base = -pairwise_dot(weights * eta, h.values / diffs) / math.pi
-        pts, pweights = _local_polar_rule(z, delta)
-        local = _bilinear_lookup(h, pts) / (pts - z)
-        out = base - pairwise_dot(pweights, local) / math.pi
+    delta = rule.patch_radius
+    eta = _smoothstep(np.abs(diffs) / delta)
+    base = -pairwise_dot(rule.node_weights() * eta, h.values / diffs) / math.pi
+    pts, pweights = _local_polar_rule(z, delta)
+    local = _bilinear_lookup(h, pts) / (pts - z)
+    out = base - pairwise_dot(pweights, local) / math.pi
     if not np.isfinite(out):
         raise QuadratureFailure("cauchy transform did not evaluate finitely")
     return complex(out)
@@ -318,13 +314,6 @@ def _taylor_from_tail(tail, count: int):
     interior jets.
     """
     return _poly_div_trunc([1.0], np.concatenate([[1.0, 0.0], tail]), count)
-
-
-def _poly_mul_trunc(a, b, count: int):
-    out = np.convolve(a, b)[:count + 1]
-    if out.size < count + 1:
-        out = np.pad(out, (0, count + 1 - out.size))
-    return out
 
 
 def _poly_div_trunc(num, den, count: int):
@@ -704,7 +693,7 @@ def bers_embedding(mu: BeltramiField, *, tol: float = 1e-9,
     f2 = ((n + 1.0) * n * a)[1:count + 2]
     f3 = ((n + 1.0) * n * (n - 1.0) * a)[2:count + 3]
     u = _poly_div_trunc(f2, f1, count)
-    s = _poly_div_trunc(f3, f1, count) - 1.5 * _poly_mul_trunc(u, u, count)
+    s = _poly_div_trunc(f3, f1, count) - 1.5 * np.convolve(u, u)[:count + 1]
     return HoloCoeffs(Domain.UNIT_DISK, s[:truncation + 1])
 
 

@@ -4,8 +4,7 @@ The base rule crosses a Gauss rule for the radial measure r dr on (0, 1)
 with uniform angles, so monomials r^a e^{i m theta} integrate exactly up to
 the rule's order in both factors.  Exterior integrals are pulled back to the
 disk through z -> 1/conj(z); the hyperbolic area form is invariant under
-that inversion, which is why one rule serves both sides.  Upper-half-plane
-integrals are pulled back through the Cayley map.
+that inversion, which is why one rule serves both sides.
 
 Integrands singular at a point z (the resolvent kernel, the Cauchy kernel)
 use one windowed rule: the node sum is weighted by a C^2 window that
@@ -29,21 +28,14 @@ that path is cruder but works with sampled inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from ._util import check_finite, pairwise_dot, tree_sum
 from .errors import DomainMismatch, IoFailure, QuadratureFailure
-from .geometry import (
-    CayleyMap,
-    DiskPoint,
-    Domain,
-    MoebiusMap,
-    kernel_value_array,
-    u_array,
-)
+from .geometry import DiskPoint, Domain, MoebiusMap, kernel_value_array, u_array
 
 TWO_PI = 2.0 * math.pi
 
@@ -102,14 +94,6 @@ def graded_panels(a: float, b: float, *, toward: float, levels: int = 24,
 
 
 @dataclass(frozen=True)
-class DiagonalPatch:
-    """Whether windowed quadratures replace the near-diagonal cells by the
-    local polar patch rule; without it they are plain node sums."""
-
-    enabled: bool = True
-
-
-@dataclass(frozen=True)
 class QuadRule:
     """Product rule: radial Gauss rule for r dr times uniform angles.
 
@@ -119,7 +103,6 @@ class QuadRule:
 
     radial_nodes: int = 64
     angular_count: int = 128
-    patch: DiagonalPatch = field(default_factory=DiagonalPatch)
 
     def __post_init__(self):
         if self.radial_nodes < 2:
@@ -295,28 +278,6 @@ def integrate_exterior(f, rule: QuadRule | None = None,
     return pairwise_dot(w, vals)
 
 
-def integrate_uhp(f, rule: QuadRule | None = None,
-                  measure: str = "euclidean", *,
-                  certified_decay: bool = False) -> complex:
-    """Integral over the upper half plane, pulled back through the Cayley map.
-
-    Euclidean measure requires |f(u)| = o(|u|^-4) at infinity; hyperbolic
-    measure is Cayley invariant and needs the usual boundary decay.
-    """
-    _check_measure(measure)
-    _require_decay_certificate(measure, certified_decay)
-    rule = rule or QuadRule()
-    w = rule.nodes(Domain.UNIT_DISK)
-    cayley = CayleyMap(direction="to_uhp")
-    z = cayley.apply(w)
-    vals = _evaluate(f, z)
-    weights = np.array(rule.node_weights(), dtype=float)
-    if measure == "hyperbolic":
-        weights = weights * (4.0 / np.square(1.0 - np.abs(w) ** 2))
-        return pairwise_dot(weights, vals)
-    return pairwise_dot(weights * cayley.jacobian(w), vals)
-
-
 # ---------------------------------------------------------------------------
 # resolvent application
 # ---------------------------------------------------------------------------
@@ -428,8 +389,6 @@ def _apply_resolvent_grid(f: GridFunction, z: complex, domain: Domain) -> comple
     g[mask] = kernel_value_array(u[mask])
     rho = 4.0 / np.square(1.0 - np.abs(nodes) ** 2)
     w = np.array(rule.node_weights(), dtype=float)
-    if not rule.patch.enabled:
-        return pairwise_dot(np.where(mask, w * rho * g, 0.0), f.values)
     delta = rule.patch_radius
     eta = _smoothstep(np.abs(nodes - z) / delta)
     base = pairwise_dot(np.where(mask, w * rho * g * eta, 0.0), f.values)
@@ -449,8 +408,6 @@ def apply_resolvent(f, z: DiskPoint, rule: QuadRule | None = None, *,
     diagonal patch).  With ``tol`` set, the callable path is repeated
     at a higher panel order and must stabilize to that tolerance.
     """
-    if z.domain is Domain.UPPER_HALF_PLANE:
-        raise DomainMismatch("resolvent application works on disk-type domains")
     if isinstance(f, GridFunction):
         return _apply_resolvent_grid(f, z.value, z.domain)
     if rule is None:
@@ -482,8 +439,8 @@ def integrate_double(kernel, rule: QuadRule, domain: Domain = Domain.UNIT_DISK,
     The kernel must broadcast like a ufunc over both arguments, be finite
     off the diagonal, and be at worst logarithmically singular on it.  Outer
     nodes are taken in blocks of about 2^15 kernel entries: each block calls
-    the kernel once on (outer column) x (all nodes) and, with the patch on,
-    once on (outer column) x (its patch nodes).  For each outer node the
+    the kernel once on (outer column) x (all nodes) and once on
+    (outer column) x (its patch nodes).  For each outer node the
     near-diagonal cells are removed by the C^2 window and replaced by the
     local polar patch rule, its rays cut at the unit circle.  Exterior
     integrals are pulled back to the disk through w -> 1/conj(w), so the
@@ -497,7 +454,7 @@ def integrate_double(kernel, rule: QuadRule, domain: Domain = Domain.UNIT_DISK,
         outer_kernel = kernel
         kernel = lambda z, w: outer_kernel(1.0 / np.conj(z), 1.0 / np.conj(w))
     elif domain is not Domain.UNIT_DISK:
-        raise DomainMismatch("double integrals cover disk-type domains")
+        raise DomainMismatch("double integrals cover the disk and its exterior")
 
     def density(w):
         # area density on the disk: hyperbolic, Euclidean, or the Euclidean
@@ -516,21 +473,15 @@ def integrate_double(kernel, rule: QuadRule, domain: Domain = Domain.UNIT_DISK,
     for start in range(0, flat_pts.size, rows):
         z = flat_pts[start:start + rows]
         kv = np.asarray(kernel(z[:, None], flat_pts[None, :]), dtype=complex)
-        if rule.patch.enabled:
-            # diagonal cells replaced by the local patch rule
-            dist = np.abs(flat_pts[None, :] - z[:, None])
-            kv = np.where(dist == 0.0, 0.0, kv)
-            check_finite(kv, "double-integral kernel block")
-            inner = tree_sum(flat_w * kv * _smoothstep(dist / delta))
-            pw, pweights = _local_polar_rule(z, delta)
-            pk = np.asarray(kernel(z[:, None, None], pw), dtype=complex)
-            check_finite(pk, "double-integral patch block")
-            patch = pweights * density(pw) * pk
-            check_finite(patch, "integrand sample")
-            inner = inner + tree_sum(patch.reshape(z.size, -1))
-        else:
-            # plain nested sum; the kernel must be finite on the diagonal
-            check_finite(kv, "double-integral kernel block")
-            inner = tree_sum(flat_w * kv)
-        totals[start:start + rows] = inner
+        # diagonal cells replaced by the local patch rule
+        dist = np.abs(flat_pts[None, :] - z[:, None])
+        kv = np.where(dist == 0.0, 0.0, kv)
+        check_finite(kv, "double-integral kernel block")
+        inner = tree_sum(flat_w * kv * _smoothstep(dist / delta))
+        pw, pweights = _local_polar_rule(z, delta)
+        pk = np.asarray(kernel(z[:, None, None], pw), dtype=complex)
+        check_finite(pk, "double-integral patch block")
+        patch = pweights * density(pw) * pk
+        check_finite(patch, "integrand sample")
+        totals[start:start + rows] = inner + tree_sum(patch.reshape(z.size, -1))
     return pairwise_dot(flat_w, totals)

@@ -10,7 +10,6 @@ from utkit.errors import (
 )
 from utkit.geometry import (
     INF,
-    CayleyMap,
     DiskPoint,
     Domain,
     MoebiusMap,
@@ -42,16 +41,12 @@ class TestDensity:
     def test_frozen_values(self):
         assert hyperbolic_density(DiskPoint.disk(0)) == 4.0
         assert hyperbolic_density(DiskPoint.disk(0.5)) == pytest.approx(64.0 / 9.0, rel=1e-15)
-        assert hyperbolic_density(DiskPoint.uhp(1j)) == 1.0
-        assert hyperbolic_density(DiskPoint.uhp(3 + 2j)) == pytest.approx(0.25)
         # same formula on the exterior side
         assert hyperbolic_density(DiskPoint.exterior(2.0)) == pytest.approx(4.0 / 9.0)
 
     def test_boundary_and_mismatch(self):
         with pytest.raises(BoundaryPoint):
             DiskPoint.disk(1.0)
-        with pytest.raises(BoundaryPoint):
-            DiskPoint.uhp(0.3)
         with pytest.raises(DomainMismatch):
             DiskPoint.disk(1.5)
         with pytest.raises(DomainMismatch):
@@ -117,8 +112,6 @@ class TestInvariant:
     def test_domain_rules(self):
         with pytest.raises(DomainMismatch):
             point_pair_invariant(DiskPoint.disk(0.1), DiskPoint.exterior(2.0))
-        with pytest.raises(DomainMismatch):
-            point_pair_invariant(DiskPoint.uhp(1j), DiskPoint.uhp(2j))
 
 
 class TestKernel:
@@ -282,45 +275,3 @@ class TestMoebius:
         assert abs(sf(complex(q))) > 1e12
         assert sf(1.0 + 0j) == pytest.approx(1.0 + 0j, abs=1e-13)
 
-
-class TestCayley:
-    def test_basic_values(self):
-        t = CayleyMap("to_disk")
-        assert t(1j) == pytest.approx(0.0, abs=1e-15)
-        c = t.inverse()
-        assert c(0j) == pytest.approx(1j, abs=1e-15)
-
-    def test_round_trip(self):
-        t = CayleyMap("to_disk")
-        c = t.inverse()
-        zs = random_disk_points(100)
-        for z in zs:
-            assert t(c(complex(z))) == pytest.approx(complex(z), abs=1e-14)
-        ws = RNG.uniform(-5, 5, 100) + 1j * RNG.uniform(0.05, 5, 100)
-        for w in ws:
-            assert c(t(complex(w))) == pytest.approx(complex(w), rel=1e-13, abs=1e-13)
-
-    def test_density_preserved(self):
-        t = CayleyMap("to_disk")
-        ws = RNG.uniform(-3, 3, 50) + 1j * RNG.uniform(0.1, 4, 50)
-        for w in ws:
-            z = t(complex(w))
-            lhs = hyperbolic_density(DiskPoint.uhp(w))
-            rhs = hyperbolic_density(DiskPoint.disk(z)) * t.jacobian(complex(w))
-            assert rhs == pytest.approx(lhs, rel=1e-12)
-
-    def test_boundary_raises(self):
-        with pytest.raises(BoundaryPoint):
-            CayleyMap("to_disk")(0.5)
-        with pytest.raises(BoundaryPoint):
-            CayleyMap("to_uhp")(np.exp(0.3j))
-
-    def test_invariant_transported(self):
-        t = CayleyMap("to_disk")
-        w1, w2 = 0.5 + 1.2j, -0.3 + 0.8j
-        u_disk = point_pair_invariant(
-            DiskPoint.disk(t(w1)), DiskPoint.disk(t(w2))
-        )
-        # the half-plane invariant |z-w|^2 / (4 Im z Im w)
-        u_uhp = abs(w1 - w2) ** 2 / (4.0 * w1.imag * w2.imag)
-        assert u_disk == pytest.approx(u_uhp, rel=1e-12)

@@ -37,3 +37,10 @@ def test_every_exported_error_is_raised():
     unraised = {name for name in errors
                 if not re.search(rf"raise {name}\b", src)}
     assert unraised == UNRAISED_BY_DESIGN
+
+
+def test_every_exported_name_resolves():
+    import utkit
+
+    missing = [name for name in utkit.__all__ if not hasattr(utkit, name)]
+    assert missing == []

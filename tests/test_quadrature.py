@@ -8,10 +8,9 @@ import pytest
 from utkit._util import pairwise_dot, tree_sum
 from utkit.errors import DomainMismatch, IoFailure, NonFiniteValue, QuadratureFailure
 from utkit.geometry import DiskPoint, Domain, kernel_value, kernel_value_array
-from utkit.modes import gfield_radial, mode_kernel, mode_table, pair_profiles
+from utkit.modes import ModeTable, gfield_radial, mode_kernel, mode_table, pair_profiles
 from utkit.qc_solver import cauchy_transform
 from utkit.quadrature import (
-    DiagonalPatch,
     GridFunction,
     QuadRule,
     _local_polar_rule,
@@ -21,7 +20,6 @@ from utkit.quadrature import (
     integrate_disk,
     integrate_double,
     integrate_exterior,
-    integrate_uhp,
 )
 
 
@@ -80,17 +78,6 @@ class TestIntegrals:
         val = integrate_exterior(f, QuadRule(), "hyperbolic", certified_decay=True)
         assert abs(val - 4 * math.pi / 3) < 1e-12
 
-    def test_uhp_hyperbolic(self):
-        # (y/|u+i|^2)^2 transports to ((1-|w|^2)/4)^2 on the disk
-        f = lambda u: (u.imag / np.abs(u + 1j) ** 2) ** 2
-        val = integrate_uhp(f, QuadRule(), "hyperbolic", certified_decay=True)
-        assert abs(val - math.pi / 4) < 1e-12
-
-    def test_uhp_euclidean(self):
-        # |u+i|^-6 pulls back to |1-w|^2/16
-        val = integrate_uhp(lambda u: np.abs(u + 1j) ** -6.0, QuadRule())
-        assert abs(val - 3 * math.pi / 32) < 1e-12
-
     def test_hyperbolic_requires_decay_certificate(self):
         with pytest.raises(QuadratureFailure):
             integrate_disk(ones, QuadRule(), "hyperbolic")
@@ -123,7 +110,6 @@ class TestScalarResults:
             integrate_disk(f, rule),
             integrate_disk(grid),
             integrate_exterior(ext),
-            integrate_uhp(lambda z: 1.0 / (1.0 + np.abs(z) ** 2) ** 3, rule),
             integrate_double(lambda z, w: f(z) * f(w), QuadRule(8, 16)),
             apply_resolvent(f, DiskPoint.disk(0.2)),
             apply_resolvent(grid, DiskPoint.disk(0.2)),
@@ -210,26 +196,24 @@ class TestResolvent:
         ref = apply_resolvent(f, DiskPoint.disk(0.2 + 0.1j), QuadRule())
         assert abs(val - ref) < 1e-8
 
-    def test_uhp_point_rejected(self):
-        with pytest.raises(DomainMismatch):
-            apply_resolvent(ones, DiskPoint.uhp(1j), QuadRule())
-
 
 class TestGridResolvent:
     def test_patch_on_off_agree_away_from_data(self):
         # data vanishing within 0.3 of the evaluation point: the diagonal
-        # patch must then be a no-op
-        rule_on = QuadRule()
-        rule_off = QuadRule(patch=DiagonalPatch(enabled=False))
+        # patch must then be a no-op, leaving the plain node sum
+        rule = QuadRule()
 
         def f(z):
             s = np.clip((np.abs(z) - 0.3) / 0.2, 0.0, 1.0)
             return s * s * (3 - 2 * s) * (1 - np.abs(z) ** 2) ** 2
 
-        z = DiskPoint.disk(0.0)
-        von = apply_resolvent(GridFunction.from_callable(f, rule_on, Domain.UNIT_DISK), z)
-        voff = apply_resolvent(GridFunction.from_callable(f, rule_off, Domain.UNIT_DISK), z)
-        assert abs(von - voff) < 1e-10
+        gf = GridFunction.from_callable(f, rule, Domain.UNIT_DISK)
+        patched = apply_resolvent(gf, DiskPoint.disk(0.0))
+        w = rule.nodes()
+        u = np.abs(w) ** 2 / (1 - np.abs(w) ** 2)
+        rho = 4.0 / (1 - np.abs(w) ** 2) ** 2
+        plain = np.sum(rule.node_weights() * rho * kernel_value_array(u) * gf.values)
+        assert abs(patched - plain) < 1e-10
 
     def test_grid_normalization_moderate_radii(self):
         gf = GridFunction.from_callable(ones, QuadRule(), Domain.UNIT_DISK)
@@ -263,16 +247,6 @@ class TestGridResolvent:
 
 
 class TestDoubleIntegral:
-    def test_separable_product(self):
-        # smooth kernel, patch off: the nested sum factorizes exactly
-        f = lambda z: (1 - np.abs(z) ** 2) ** 2
-        g = lambda z: (1 - np.abs(z) ** 2) ** 3
-        rule = QuadRule(16, 32, DiagonalPatch(enabled=False))
-        val = integrate_double(lambda z, w: f(z) * g(w), rule)
-        left = integrate_disk(f, rule, "hyperbolic", certified_decay=True)
-        right = integrate_disk(g, rule, "hyperbolic", certified_decay=True)
-        assert abs(val - left * right) / abs(left * right) < 1e-12
-
     def test_order_independence(self):
         f = lambda z: (1 - np.abs(z) ** 2) ** 2 * z
         g = lambda w: (1 - np.abs(w) ** 2) ** 2 * np.conj(w)
@@ -572,6 +546,19 @@ class TestModeEngine:
         assert np.isfinite(rough) and rough.real > 0 and np.all(np.isfinite(g))
         want = math.pi * 17 / 153560054340
         assert abs(val / want - 1.0) < 1e-13
+
+    def test_numpy_int_mode_matches_python_int(self):
+        # np.int64 indices (as from np.arange) must give the Python int
+        # weights, which the shared cache then serves to both
+        prof = basis_product(62, 2)
+        results = []
+        for q in (np.int64(60), 60):
+            table = ModeTable()
+            results.append((pair_profiles(table, q, prof, prof),
+                            gfield_radial(table, q, prof)))
+        (pa, ga), (pb, gb) = results
+        assert pa == pb
+        assert np.array_equal(ga, gb)
 
     def test_mode_table_is_a_shared_lookup(self):
         # no cap: every call hands back one table, and a mode past p_max
