@@ -548,8 +548,8 @@ class TestModeEngine:
         assert abs(val / want - 1.0) < 1e-13
 
     def test_numpy_int_mode_matches_python_int(self):
-        # np.int64 indices (as from np.arange) must give the Python int
-        # weights, which the shared cache then serves to both
+        # np.int64 indices (as from np.arange) must give the weights of
+        # the Python int: ModeTable.mode caches both under one key
         prof = basis_product(62, 2)
         results = []
         for q in (np.int64(60), 60):
