@@ -48,13 +48,16 @@ class DiskPoint:
 
     The exterior domain admits the point at infinity; the disk does not.
     Construction validates strict membership: boundary points raise
-    ``BoundaryPoint`` and points on the wrong side raise ``DomainMismatch``.
+    ``BoundaryPoint``, and points on the wrong side, or a domain that is not
+    a ``Domain``, raise ``DomainMismatch``.
     """
 
     value: complex
     domain: Domain
 
     def __post_init__(self):
+        if not isinstance(self.domain, Domain):
+            raise DomainMismatch(f"{self.domain!r} is not a Domain")
         z = complex(self.value)
         object.__setattr__(self, "value", z)
         if is_infinity(z):

@@ -90,9 +90,11 @@ class ModeTable:
         # rho(s) s, with 1 - s^2 taken as (1 - s)(1 + s) near the circle
         self.measure = 4.0 * self.s / np.square((1.0 - self.s) * (1.0 + self.s))
 
-    @lru_cache(maxsize=None)
+    # 172 KB per mode: a pass over many modes (a Ricci sum) uses each once
+    @lru_cache(maxsize=16)
     def mode(self, q: int):
-        """Weights of mode q >= 0.  With phi~ = s^-q phi_q, on panel [L, R] the
+        """Weights of mode q >= 0, built on first use; the 16 modes used
+        last are kept.  With phi~ = s^-q phi_q, on panel [L, R] the
         prefix sum at a node x is int_0^x (s/x)^q phi~ f ds = (L/x)^q Y + int_L^x ...,
         Y = sum over earlier panels Q of (R_Q/L)^q int_Q (s/R_Q)^q phi~ f ds;
         every factor is at most 1, and a Gauss rule of q/2 + o nodes takes

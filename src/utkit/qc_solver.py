@@ -261,7 +261,8 @@ class _SeriesState:
         1/z runs over the conjugated disk nodes and 1/zbar over the disk
         nodes themselves."""
         # in place where it can be: on the solver's rule every fresh
-        # array is a fresh mapping of pages
+        # array is a fresh mapping of pages; the nodes are shared and
+        # read-only
         disk = rule.nodes()
         wt = self.interior.eval_rule(rule, conjugate=True)
         wt.real += disk.real
@@ -271,8 +272,7 @@ class _SeriesState:
         else:
             field = self.h.eval_rule(rule, conjugate=True)
             np.negative(field, out=field)
-            disk *= disk
-            field *= disk
+            field *= np.square(disk)
             field /= wt * wt
         self.grid_w_tilde, self.grid_residual = wt, field
         return float(np.max(np.abs(field)))
@@ -592,8 +592,7 @@ def solve_beltrami(mu: BeltramiField, normalization: str = "ModelB",
         # the sum by one FFT per ring and the rest in place: on the
         # solver's rule every fresh array is a fresh mapping of pages
         disk_vals = BiPoly(state.tail[None, :, None], 1, 0).eval_rule(rule)
-        inv = rule.nodes()
-        disk_vals += np.divide(1.0, inv, out=inv)
+        disk_vals += 1.0 / rule.nodes()
         np.divide(1.0, disk_vals, out=disk_vals)
         checks = _interior_jets(shell)
         checks["contractionFactor"] = c_eff

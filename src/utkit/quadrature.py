@@ -52,7 +52,8 @@ def gauss_radial(n: int):
 
     Golub-Welsch on the Jacobi matrix of the weight (1 + x) on (-1, 1),
     mapped to (0, 1).  Exact for integrands r^a with a <= 2n - 1, odd powers
-    included, which a Legendre rule in r^2 cannot deliver.
+    included, which a Legendre rule in r^2 cannot deliver.  The arrays are
+    shared read-only by every call with the same n.
     """
     k = np.arange(n, dtype=float)
     diag = 1.0 / ((2.0 * k + 1.0) * (2.0 * k + 3.0))
@@ -61,8 +62,9 @@ def gauss_radial(n: int):
     jacobi = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     x, vecs = np.linalg.eigh(jacobi)
     w = 2.0 * vecs[0] ** 2
-    r = 0.5 * (x + 1.0)
-    return r, 0.25 * w
+    r, w = 0.5 * (x + 1.0), 0.25 * w
+    r.flags.writeable = w.flags.writeable = False
+    return r, w
 
 
 def graded_panels(a: float, b: float, *, toward: float, levels: int = 24,
@@ -127,13 +129,12 @@ class QuadRule:
         """Complex nodes, shape (radial_nodes, angular_count).
 
         Exterior nodes are the inversions 1/conj(disk nodes), so the two
-        grids are aligned index by index.
+        grids are aligned index by index.  The array is built on first use
+        and shared by every later call with an equal rule and domain, so it
+        is read-only: callers that need to write take a copy.
         """
-        disk = self.radii[:, None] * np.exp(1j * self.angles)[None, :]
-        if domain is Domain.UNIT_DISK:
-            return disk
-        if domain is Domain.EXTERIOR_DISK:
-            return 1.0 / np.conj(disk)
+        if domain is Domain.UNIT_DISK or domain is Domain.EXTERIOR_DISK:
+            return _polar_nodes(self, domain)
         raise DomainMismatch("polar rules cover the disk and its exterior")
 
     def node_weights(self):
@@ -149,6 +150,16 @@ class QuadRule:
     @property
     def patch_radius(self) -> float:
         return 2.0 * self.spacing
+
+
+@lru_cache(maxsize=16)
+def _polar_nodes(rule: QuadRule, domain: Domain) -> np.ndarray:
+    if domain is Domain.EXTERIOR_DISK:
+        out = 1.0 / np.conj(_polar_nodes(rule, Domain.UNIT_DISK))
+    else:
+        out = rule.radii[:, None] * np.exp(1j * rule.angles)[None, :]
+    out.flags.writeable = False
+    return out
 
 
 @dataclass

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,6 +33,15 @@ from .geometry import Domain
 from .quadrature import GridFunction, QuadRule, integrate_disk, integrate_exterior
 
 _SUP_RULE = QuadRule(64, 128)
+
+
+@lru_cache(maxsize=1)
+def _sup_weight() -> np.ndarray:
+    """(1/2)(1 - |w|^2)^2 on the disk nodes of _SUP_RULE, shared read-only."""
+    w = _SUP_RULE.nodes(Domain.UNIT_DISK)
+    out = 0.5 * np.square(1.0 - np.abs(w) ** 2)
+    out.flags.writeable = False
+    return out
 
 
 def _as_coeff_array(values) -> np.ndarray:
@@ -230,8 +240,7 @@ class BeltramiField:
                 # sup into a disk-side scan; w = 0 carries the limit at
                 # infinity (or at the origin for a disk-side field)
                 w = _SUP_RULE.nodes(Domain.UNIT_DISK)
-                vals = 0.5 * np.square(1.0 - np.abs(w) ** 2) * np.abs(
-                    self.coefficient_profile(w))
+                vals = _sup_weight() * np.abs(self.coefficient_profile(w))
                 center = 0.5 * abs(self.coefficient_profile(np.zeros(1))[0])
                 self._sup = float(max(np.max(vals), center))
             else:

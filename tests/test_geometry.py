@@ -54,6 +54,14 @@ class TestDensity:
         with pytest.raises(DomainMismatch):
             DiskPoint(INF, Domain.UNIT_DISK)
 
+    @pytest.mark.parametrize("domain", ["UnitDisk", "ExteriorDisk", None, 0])
+    @pytest.mark.parametrize("z", [0.5, 1.5, INF])
+    def test_domain_must_be_a_domain(self, z, domain):
+        # a value that is not a Domain names no side of the circle, so no
+        # membership can be checked against it
+        with pytest.raises(DomainMismatch):
+            DiskPoint(z, domain)
+
     def test_infinity_is_exterior(self):
         p = DiskPoint.infinity()
         assert p.is_infinity

@@ -1,9 +1,13 @@
-"""Packaging metadata points only at code that exists."""
+"""Packaging metadata points only at code that exists, and what the
+package caches is bounded and read-only."""
 
 import importlib
+import inspect
+import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 tomllib = pytest.importorskip("tomllib")
@@ -44,3 +48,49 @@ def test_every_exported_name_resolves():
 
     missing = [name for name in utkit.__all__ if not hasattr(utkit, name)]
     assert missing == []
+
+
+def _caches():
+    """(name, functools cache) for every cache defined at the top level of a
+    utkit module or in the body of one of its classes."""
+    import utkit
+
+    found = {}
+    for info in pkgutil.iter_modules(utkit.__path__):
+        module = importlib.import_module(f"utkit.{info.name}")
+        for name, obj in vars(module).items():
+            if inspect.isclass(obj) and obj.__module__ == module.__name__:
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", getattr(member, "fget", member))
+                    if hasattr(member, "cache_parameters"):
+                        found[f"{module.__name__}.{name}.{attr}"] = member
+            elif hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__:
+                found[f"{module.__name__}.{name}"] = obj
+    return found
+
+
+def test_every_cache_is_bounded():
+    caches = _caches()
+    unbounded = [name for name, cache in caches.items()
+                 if cache.cache_parameters()["maxsize"] is None]
+    assert unbounded == []
+    assert {"utkit.modes.ModeTable.mode", "utkit.quadrature.gauss_radial",
+            "utkit.quadrature._polar_nodes", "utkit._bipoly._cauchy_kernel",
+            "utkit._bipoly._ring_powers", "utkit.series._sup_weight"} <= set(caches)
+
+
+def test_shared_tables_are_read_only():
+    from utkit import _bipoly, quadrature, series
+    from utkit.geometry import Domain
+
+    rule = quadrature.QuadRule(12, 24)
+    log_powers, powers = _bipoly._ring_powers(rule)
+    tables = [rule.nodes(), rule.nodes(Domain.EXTERIOR_DISK),
+              *quadrature.gauss_radial(12), series._sup_weight(),
+              _bipoly._cauchy_kernel(3)(-1, 5), log_powers(0, 4), powers(-1, 9)]
+    assert rule.nodes() is quadrature.QuadRule(12, 24).nodes()
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[...] = 0.0
+        with pytest.raises(ValueError):
+            np.multiply(table, 2.0, out=table)

@@ -346,6 +346,39 @@ class TestSolveBeltrami:
         assert abs(qc._series.interior.eval(0.0)) < 1e-12
 
 
+class TestSharedTables:
+    # the nodes, ring powers and Cauchy kernels are shared between calls, so
+    # a call that wrote into one would change the next call's answer
+    RULE = QuadRule(24, 48)
+
+    @staticmethod
+    def field(kind):
+        if kind == "harmonic":
+            a = np.array([0.3, -0.2j, 0.1 + 0.1j]) * A2_UNIT
+            return harmonic(a)
+        ext = TestSharedTables.RULE.nodes(Domain.EXTERIOR_DISK)
+        return BeltramiField.sampled(GridFunction(
+            TestSharedTables.RULE, Domain.EXTERIOR_DISK, 0.2 * ext / np.conj(ext)))
+
+    @pytest.mark.parametrize("normalization", ["ModelB", "ModelA"])
+    @pytest.mark.parametrize("kind", ["harmonic", "sampled"])
+    def test_repeated_solve_is_bit_identical(self, kind, normalization):
+        runs = [solve_beltrami(self.field(kind), normalization, 1e-8, rule=self.RULE)
+                for _ in range(2)]
+        first, second = ([qc.seriesTermCount, qc.residualNorm, qc.decayRatios]
+                         + [a.tobytes() for a in (qc.grid[0].values, qc.grid[1].values,
+                                                  qc._series.tail, qc._series.grid_residual)]
+                         for qc in runs)
+        assert first[0] > 0
+        assert first == second
+
+    @pytest.mark.parametrize("kind", ["harmonic", "sampled"])
+    def test_repeated_bers_embedding_is_bit_identical(self, kind):
+        first, second = (bers_embedding(self.field(kind), truncation=12, rule=self.RULE)
+                         .coeffs.tobytes() for _ in range(2))
+        assert first == second
+
+
 class TestExteriorRiemann:
     @pytest.mark.parametrize("b", [0.02, 0.05, 0.1])
     def test_ellipse_matches_closed_form(self, b):

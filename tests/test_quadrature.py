@@ -560,6 +560,20 @@ class TestModeEngine:
         assert pa == pb
         assert np.array_equal(ga, gb)
 
+    def test_evicted_mode_pairs_as_before(self):
+        # the weight cache is bounded: a mode pushed out by a long pass
+        # over other modes is rebuilt with the same weights bit for bit
+        table = ModeTable()
+        prof = basis_product(5, 2)
+        first = pair_profiles(table, 3, prof, prof)
+        weights = table.mode(3)
+        for q in range(4, 4 + ModeTable.mode.cache_parameters()["maxsize"]):
+            table.mode(q)
+        assert table.mode(3) is not weights
+        assert pair_profiles(table, 3, prof, prof) == first
+        for old, new in zip(weights, table.mode(3)):
+            assert np.array_equal(old, new)
+
     def test_mode_table_is_a_shared_lookup(self):
         # no cap: every call hands back one table, and a mode past p_max
         # is prepared on first use
