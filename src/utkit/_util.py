@@ -15,25 +15,40 @@ def tree_sum(values):
     for bit as the same row would alone.  It is the fold of the input
     zero-padded to a power of two, without the padding: the tail past the
     largest power of two below the length is added into the head, and the
-    head is folded in place.  A 1-D input gives a scalar.
+    head is folded in place.  A 1-D input gives a scalar.  A block is
+    folded with its last axis in front, so that each level of the fold is
+    one contiguous add; the input is never written to.
     """
     a = np.asarray(values)
     n = a.shape[-1]
     half = 1
     while 2 * half < n:
         half *= 2
-    buf = a[..., :half].copy()
-    buf[..., :n - half] += a[..., half:]
+    if a.ndim == 1:
+        buf = a[:half].copy()
+        buf[:n - half] += a[half:]
+        while half > 1:
+            half //= 2
+            buf[:half] += buf[half:2 * half]
+        return buf[0]
+    rows = a.reshape(-1, n)
+    # an explicit copy: for a single row the transposed head is already
+    # contiguous, and a view would fold the caller's array in place
+    buf = rows[:, :half].T.copy()
+    buf[:n - half] += rows[:, half:].T
     while half > 1:
         half //= 2
-        buf[..., :half] += buf[..., half:2 * half]
-    out = buf[..., 0]
-    return out[()] if out.ndim == 0 else out.copy()
+        buf[:half] += buf[half:2 * half]
+    return buf[0].reshape(a.shape[:-1]).copy()
 
 
 def check_finite(values, what: str = "value"):
     arr = np.asarray(values)
-    if not np.all(np.isfinite(arr.view(float) if arr.dtype.kind == "c" else arr)):
+    if arr.dtype.kind == "c" and arr.ndim and arr.flags.c_contiguous:
+        # the float view checks both parts in one pass, about 3x faster
+        # than isfinite on complex; it needs a contiguous last axis
+        arr = arr.view(float)
+    if not np.all(np.isfinite(arr)):
         raise NonFiniteValue(f"non-finite {what} encountered")
     return values
 

@@ -93,12 +93,12 @@ def cauchy_transform(h: GridFunction, z) -> complex:
     plus the local polar patch rule of the quadrature module, whose rays
     stop at the unit circle, so points just outside the disk are served
     by the same rule.  The error is set by the grid, not the singularity:
-    on the default 64 x 128 rule, for smooth densities, it is under 1e-4
-    for |z| <= 0.6 and about 4e-4 to 8e-4 for 0.9 <= |z| < 1.  Just
-    outside the circle it is worse between node angles than on one, where
-    the window cuts the kernel at a scale the angular spacing does not
-    resolve: for the density 1 at z = 1.01 e^{0.7i} the error is 2.6e-3 on
-    32 x 64 (4.8e-5 at z = 1.01) and 3.3e-4 on 64 x 128.
+    on the default 64 x 128 rule, for the densities 1 and zbar, it is
+    under 1e-4 for |z| <= 0.6 and at most 4.2e-4 for 0.9 <= |z| < 1.  The
+    patch rays are measured from the direction of z, so the error does not
+    depend on where z sits between node angles.  Over 36 angles at
+    |z| = 1.01 it is at most 4.5e-4 on 32 x 64 and 2.6e-4 on 64 x 128; at
+    |z| = 1.03, 2.4e-4 and 3.6e-5.
     """
     if h.domain is not Domain.UNIT_DISK:
         raise DomainMismatch("cauchy_transform integrates densities on the disk")

@@ -9,10 +9,14 @@ that inversion, which is why one rule serves both sides.
 Integrands singular at a point z (the resolvent kernel, the Cauchy kernel)
 use one windowed rule: the node sum is weighted by a C^2 window that
 vanishes at z, and the complementary near-diagonal part is integrated by
-a local polar patch around z whose rays stop at the unit circle.  Grid
-data is sampled on the patch nodes by bilinear interpolation in
-(r, theta).  ``integrate_double``, the grid path of ``apply_resolvent``
-and ``qc_solver.cauchy_transform`` all use it.
+a local polar patch around z whose rays stop at the unit circle.  The
+rays are measured from the direction of z, so the patch rule commutes
+with rotations.  Grid data is sampled on the patch nodes by bilinear
+interpolation in (r, theta).  ``integrate_double``, the grid path of
+``apply_resolvent`` and ``qc_solver.cauchy_transform`` all use it.
+``integrate_double`` uses the rotation symmetry of the rule: the window
+and the patch are built once per ring of outer nodes and rotated along
+the ring.
 
 ``apply_resolvent`` has two paths.  For callable integrands it recenters the
 singular point by a disk automorphism and integrates on a radial rule
@@ -338,28 +342,33 @@ _PATCH_DIRS = np.exp(1j * TWO_PI * np.arange(16) / 16)
 def _local_polar_rule(z, delta: float):
     """Nodes and weights of the near-diagonal patch around z.
 
-    The nodes are z + s e^{i phi}, with s running over the part of
-    [0, delta] that lies inside the unit disk, so z may sit just outside
-    the circle.  The weights are the area element s ds dphi times the
-    complementary window 1 - eta(s / delta): the patch sum plus the node
-    sum windowed by eta(|w - z| / delta) is the integral over the disk.
-    The radial rule is graded into s = 0, which absorbs the logarithmic
-    and 1/s diagonal singularities of the kernels.  Rays that miss the
-    disk get zero weight.  A scalar z gives (radial, ray) arrays; an array
-    of centers becomes their leading axes.
+    The nodes are z + s e^{i phi} u, with u = z / abs(z) the centre's own
+    direction (u = 1 at z = 0), and s running over the part of [0, delta]
+    that lies inside the unit disk, so z may sit just outside the circle.
+    Measuring the rays from u makes the rule rotation-equivariant: the
+    patch around r e^{i theta} is e^{i theta} times the patch around r,
+    with the same weights.  The weights are the area element s ds dphi
+    times the complementary window 1 - eta(s / delta): the patch sum plus
+    the node sum windowed by eta(|w - z| / delta) is the integral over the
+    disk.  The radial rule is graded into s = 0, which absorbs the
+    logarithmic and 1/s diagonal singularities of the kernels.  Rays that
+    miss the disk get zero weight.  A scalar z gives (radial, ray) arrays;
+    an array of centers becomes their leading axes.
     """
     z = np.asarray(z)[..., None]
-    beta = np.real(np.conj(z) * _PATCH_DIRS)
     # hypot is the scalar abs(z) bit for bit; np.abs on arrays is not
-    root = np.sqrt(np.maximum(beta * beta + 1.0 - np.hypot(z.real, z.imag) ** 2,
-                              0.0))
+    a = np.hypot(z.real, z.imag)
+    unit = np.where(a > 0.0, z / np.where(a > 0.0, a, 1.0), 1.0)
+    # Re(conj(z) u e^{i phi}) = abs(z) cos(phi) on every ray
+    beta = a * _PATCH_DIRS.real
+    root = np.sqrt(np.maximum(beta * beta + 1.0 - a ** 2, 0.0))
     lo = np.clip(-beta - root, 0.0, delta)
     length = np.clip(-beta + root, 0.0, delta) - lo
     # park empty rays at distance delta, away from the singularity
     lo = np.where(length > 0.0, lo, delta)[..., None, :]
     length = length[..., None, :]
     s = lo + length * _PATCH_T[:, None]
-    w = z[..., None] + s * _PATCH_DIRS
+    w = z[..., None] + s * (unit * _PATCH_DIRS)[..., None, :]
     area = (length * _PATCH_WT[:, None]) * s * (TWO_PI / _PATCH_DIRS.size)
     return w, area * (1.0 - _smoothstep(s / delta))
 
@@ -448,14 +457,22 @@ def integrate_double(kernel, rule: QuadRule, domain: Domain = Domain.UNIT_DISK,
     """Double integral of kernel(z, w) over domain x domain.
 
     The kernel must broadcast like a ufunc over both arguments, be finite
-    off the diagonal, and be at worst logarithmically singular on it.  Outer
-    nodes are taken in blocks of about 2^15 kernel entries: each block calls
-    the kernel once on (outer column) x (all nodes) and once on
-    (outer column) x (its patch nodes).  For each outer node the
-    near-diagonal cells are removed by the C^2 window and replaced by the
-    local polar patch rule, its rays cut at the unit circle.  Exterior
-    integrals are pulled back to the disk through w -> 1/conj(w), so the
-    patch always sees the disk's node geometry.  This is the generic
+    off the diagonal, and be at worst logarithmically singular on it.  For
+    each outer node the near-diagonal cells are removed by the C^2 window
+    and replaced by the local polar patch rule, its rays cut at the unit
+    circle.  Exterior integrals are pulled back to the disk through
+    w -> 1/conj(w), so the patch always sees the disk's node geometry.
+
+    Outer nodes are taken one ring at a time, in blocks of at most 2^15
+    kernel entries that stay inside the ring: each block calls the kernel
+    once on (outer nodes) x (all nodes) and once on (outer nodes) x (their
+    patch nodes).  A rotation by one angular step maps the rule's nodes
+    onto nodes, and the window, the node weights, the density and the
+    patch rule all commute with it, so each call builds two tables per
+    ring r_i and shares them along the ring: the window row, weight x
+    density x eta(|w - r_i| / delta), which node j reads shifted by j
+    inside each ring, and the patch at r_i with its weights x density,
+    whose nodes node j rotates by e^{i theta_j}.  This is the generic
     O(n^2) reference path; the mode-reduced engine is the fast route for
     rotation-symmetric kernels.
     """
@@ -476,23 +493,39 @@ def integrate_double(kernel, rule: QuadRule, domain: Domain = Domain.UNIT_DISK,
             return 1.0 / np.abs(w) ** 4
         return np.ones(np.shape(w))
 
-    flat_pts = rule.nodes(Domain.UNIT_DISK).ravel()
+    nodes = rule.nodes(Domain.UNIT_DISK)
+    nr, m = nodes.shape
+    n = nodes.size
+    flat_pts = nodes.ravel()
     flat_w = np.array(rule.node_weights(), dtype=float).ravel() * density(flat_pts)
+    turns = np.exp(1j * rule.angles)
     delta = rule.patch_radius
-    rows = max(1, _DOUBLE_BLOCK // flat_pts.size)
-    totals = np.empty(flat_pts.size, dtype=complex)
-    for start in range(0, flat_pts.size, rows):
-        z = flat_pts[start:start + rows]
-        kv = np.asarray(kernel(z[:, None], flat_pts[None, :]), dtype=complex)
-        # diagonal cells replaced by the local patch rule
-        dist = np.abs(flat_pts[None, :] - z[:, None])
-        kv = np.where(dist == 0.0, 0.0, kv)
-        check_finite(kv, "double-integral kernel block")
-        inner = tree_sum(flat_w * kv * _smoothstep(dist / delta))
-        pw, pweights = _local_polar_rule(z, delta)
-        pk = np.asarray(kernel(z[:, None, None], pw), dtype=complex)
-        check_finite(pk, "double-integral patch block")
-        patch = pweights * density(pw) * pk
-        check_finite(patch, "integrand sample")
-        totals[start:start + rows] = inner + tree_sum(patch.reshape(z.size, -1))
-    return pairwise_dot(flat_w, totals)
+    rows = min(m, max(1, _DOUBLE_BLOCK // max(n, _PATCH_T.size * _PATCH_DIRS.size)))
+    totals = np.empty((nr, m), dtype=complex)
+    for i, r in enumerate(rule.radii):
+        window = (flat_w * _smoothstep(np.abs(flat_pts - r) / delta)).reshape(nr, m)
+        # shifted[m - j][:, k] = window[:, (k - j) % m], a view
+        shifted = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate([window, window], axis=1), m, axis=1).transpose(1, 0, 2)
+        pw, pweights = _local_polar_rule(r, delta)
+        pweights = pweights * density(pw)
+        for start in range(0, m, rows):
+            stop = min(start + rows, m)
+            j = np.arange(start, stop)
+            z = nodes[i, start:stop]
+            # a copy: the kernel's own array is never written into
+            kv = np.empty((j.size, n), dtype=complex)
+            kv[...] = kernel(z[:, None], flat_pts[None, :])
+            # diagonal cells replaced by the local patch rule
+            kv[j - start, i * m + j] = 0.0
+            check_finite(kv, "double-integral kernel block")
+            rings = kv.reshape(j.size, nr, m)
+            rings *= shifted[m - start:m - stop:-1]
+            inner = tree_sum(kv)
+            pk = kernel(z[:, None, None], turns[j, None, None] * pw)
+            pk = np.broadcast_to(np.asarray(pk, dtype=complex), (j.size,) + pw.shape)
+            check_finite(pk, "double-integral patch block")
+            patch = pweights * pk
+            check_finite(patch, "integrand sample")
+            totals[i, start:stop] = inner + tree_sum(patch.reshape(j.size, -1))
+    return pairwise_dot(flat_w, totals.ravel())

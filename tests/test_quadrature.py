@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from utkit._util import pairwise_dot, tree_sum
+from utkit._util import check_finite, pairwise_dot, tree_sum
 from utkit.errors import DomainMismatch, IoFailure, NonFiniteValue, QuadratureFailure
 from utkit.geometry import DiskPoint, Domain, kernel_value, kernel_value_array
 from utkit.modes import ModeTable, gfield_radial, mode_kernel, mode_table, pair_profiles
@@ -96,6 +96,32 @@ class TestIntegrals:
 
         with pytest.raises(NonFiniteValue):
             integrate_disk(bad, QuadRule(radial_nodes=4, angular_count=8))
+
+    @staticmethod
+    def decaying(z, w):
+        return (1 - np.abs(z) ** 2) ** 2 * (1 - np.abs(w) ** 2) ** 2 * (1 + 0j)
+
+    @pytest.mark.parametrize("layout", [
+        np.asfortranarray,
+        lambda a: np.broadcast_to(a[..., :1], a.shape),
+    ], ids=["fortran", "broadcast"])
+    def test_noncontiguous_kernel_output_integrates(self, layout):
+        rule = QuadRule(8, 16)
+        want = integrate_double(
+            lambda z, w: np.ascontiguousarray(layout(self.decaying(z, w))), rule)
+        assert integrate_double(lambda z, w: layout(self.decaying(z, w)), rule) == want
+        bad = self.decaying(np.zeros((3, 1)), np.full((1, 4), 0.5))
+        bad[1, 0] = np.nan
+        for arr in (layout(bad), layout(bad)[:, ::2]):
+            assert not arr.flags.c_contiguous
+            with pytest.raises(NonFiniteValue):
+                check_finite(arr)
+        with pytest.raises(NonFiniteValue):
+            integrate_double(lambda z, w: layout(
+                self.decaying(z, w) * np.where(np.abs(w) < 0.3, np.nan, 1.0)), rule)
+        with pytest.raises(NonFiniteValue):
+            check_finite(np.array(complex(np.inf, 0.0)))
+        assert check_finite(np.array(1j)) == 1j
 
 
 class TestScalarResults:
@@ -280,6 +306,36 @@ class TestDoubleIntegral:
         integrate_double(kern, QuadRule(24, 48))
         assert len(calls) <= 100
 
+    @pytest.mark.parametrize("shape", [(24, 48), (12, 20), (64, 16), (4, 128)])
+    def test_every_kernel_call_is_at_most_one_block(self, shape):
+        sizes = []
+
+        def kern(z, w):
+            sizes.append(np.broadcast(z, w).size)
+            return (1 - np.abs(z) ** 2) ** 2 * (1 - np.abs(w) ** 2) ** 2
+
+        integrate_double(kern, QuadRule(*shape))
+        assert max(sizes) <= 1 << 15
+
+    def test_rotation_equivariance(self):
+        # neither symmetric in (z, w) nor invariant under rotations, with
+        # the log singularity of G on the diagonal and angular modes the
+        # patch's 16 rays resolve only in part; rotating by one angular
+        # step of the rule permutes the quadrature's terms
+        def kern(z, w):
+            u = np.abs(z - w) ** 2 / ((1 - np.abs(z) ** 2) * (1 - np.abs(w) ** 2))
+            g = np.zeros_like(u)
+            m = u > 0
+            g[m] = kernel_value_array(u[m])
+            return ((1 - np.abs(z) ** 2) ** 2 * (1 + z + z**5)
+                    * (1 - np.abs(w) ** 2) ** 2 * (1 + w**3 + np.conj(w) ** 7) * g)
+
+        rule = QuadRule(12, 20)
+        a = np.exp(2j * np.pi / rule.angular_count)
+        val = integrate_double(kern, rule)
+        turned = integrate_double(lambda z, w: kern(a * z, a * w), rule)
+        assert abs(turned - val) <= 1e-12 * abs(val)
+
     def test_row_sums_of_a_block_match_single_rows(self):
         rng = np.random.default_rng(5)
         block = rng.standard_normal((28, 1152)) + 1j * rng.standard_normal((28, 1152))
@@ -319,6 +375,17 @@ class TestDoubleIntegral:
         assert sums.base is None
         assert np.array_equal(sums, np.full(4, 1000.0))
 
+    def test_fold_leaves_its_input_unchanged(self):
+        # the fold runs in place on a copy; for a single row the transposed
+        # head is contiguous already, so only an explicit copy protects it
+        rng = np.random.default_rng(3)
+        for shape in [(1000,), (1, 1000), (1, 1024), (7, 1000), (3, 5, 37)]:
+            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            before = x.copy()
+            sums = tree_sum(x)
+            assert np.array_equal(x, before)
+            assert np.shape(sums) == shape[:-1]
+
 
 class TestNearDiagonalPatch:
     """One polar patch rule, its rays cut at the unit circle, serves
@@ -345,6 +412,31 @@ class TestNearDiagonalPatch:
         for z in (1.01, 1.03):
             assert abs(cauchy_transform(one, z) - 1.0 / z) < 2e-4
             assert abs(cauchy_transform(zb, z) - 0.5 / z**2) < 2e-4
+
+    def test_cauchy_transform_just_outside_the_circle_at_every_angle(self):
+        # the patch rays follow the direction of z, so points between node
+        # angles are served as well as points on them
+        rule = QuadRule(32, 64)
+        one = GridFunction.from_callable(np.ones_like, rule, Domain.UNIT_DISK)
+        zb = GridFunction.from_callable(np.conj, rule, Domain.UNIT_DISK)
+        for radius in (1.01, 1.03):
+            for z in radius * np.exp(2j * np.pi * np.arange(36) / 36):
+                assert abs(cauchy_transform(one, z) - 1.0 / z) < 1e-3
+                assert abs(cauchy_transform(zb, z) - 0.5 / z**2) < 1e-3
+
+    def test_patch_rule_turns_with_its_center(self):
+        delta = QuadRule(24, 48).patch_radius
+        for r in (0.4, 0.999, 1.01):
+            pw, weights = _local_polar_rule(r, delta)
+            turn = np.exp(0.7j)
+            tw, tweights = _local_polar_rule(r * turn, delta)
+            # equal up to the rounding of abs(r * turn), which the cut of
+            # the rays at the circle magnifies near it
+            assert np.allclose(tw, turn * pw, rtol=0.0, atol=1e-14)
+            assert np.allclose(tweights, weights, rtol=1e-11, atol=0.0)
+        # a center at 0 keeps the rays of the x-axis
+        pw, _ = _local_polar_rule(0.0, delta)
+        assert np.allclose(np.angle(pw[-1]), np.angle(np.exp(2j * np.pi * np.arange(16) / 16)))
 
     def test_double_integral_angular_mode(self):
         prof = lambda r: (1 - r**2) ** 4 * r**3
