@@ -14,6 +14,7 @@ from utkit.quadrature import (
     GridFunction,
     QuadRule,
     _local_polar_rule,
+    _smoothstep,
     apply_resolvent,
     gauss_legendre_01,
     gauss_radial,
@@ -316,6 +317,30 @@ class TestDoubleIntegral:
 
         integrate_double(kern, QuadRule(*shape))
         assert max(sizes) <= 1 << 15
+
+    def test_ring_tables_match_the_per_node_rule(self):
+        # the windowed node sum and the patch, built for each outer node
+        # on its own; the kernel is not finite on the diagonal, which the
+        # diagonal cut removes
+        def kern(z, w):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return ((1 - np.abs(z) ** 2) ** 2 * (1 + z + z**3) * (1 - np.abs(w) ** 2) ** 2
+                        * (2 + np.conj(w) ** 2) * np.log(np.abs(z - w)))
+
+        rule = QuadRule(6, 10)
+        rho = lambda w: 4 / (1 - np.abs(w) ** 2) ** 2
+        nodes = rule.nodes().ravel()
+        weights = np.array(rule.node_weights()).ravel() * rho(nodes)
+        delta = rule.patch_radius
+        total = 0.0
+        for z, wz in zip(nodes, weights):
+            off = nodes != z
+            eta = _smoothstep(np.abs(nodes[off] - z) / delta)
+            pw, pweights = _local_polar_rule(z, delta)
+            total += wz * (np.sum(weights[off] * eta * kern(z, nodes[off]))
+                           + np.sum(pweights * rho(pw) * kern(z, pw)))
+        val = integrate_double(kern, rule)
+        assert abs(val - total) <= 1e-13 * abs(total)
 
     def test_rotation_equivariance(self):
         # neither symmetric in (z, w) nor invariant under rotations, with
