@@ -536,6 +536,21 @@ def _interior_jets(qc: QCMap) -> dict:
     }
 
 
+def _normal_solve(mat, rhs, damping: float = 0.0):
+    """x minimizing |mat x - rhs|^2 + damping |x|^2, from the normal
+    equations (mat^H mat + damping I) x = mat^H rhs by one Cholesky
+    factor L L^H of the Gram matrix and two triangular solves.
+
+    Raises LinAlgError when the Gram matrix is not positive definite; a
+    NaN in it passes through the factorization into x.
+    """
+    adj = mat.conj().T
+    gram = adj @ mat
+    gram.flat[::gram.shape[0] + 1] += damping
+    factor = np.linalg.cholesky(gram)
+    return np.linalg.solve(factor.conj().T, np.linalg.solve(factor, adj @ rhs))
+
+
 def _exterior_riemann(boundary, k_neg: int):
     """Fit Phi(w) = A1 w exp(sum_k c_k w^-k), k = 1..k_neg, mapping the
     outside of the sampled curve onto the outside of the unit circle,
@@ -543,19 +558,30 @@ def _exterior_riemann(boundary, k_neg: int):
 
     log|Phi| is the Green's function of the exterior domain with its pole
     at infinity, so |Phi| = 1 on the curve is linear in (log A1, Re c_k,
-    Im c_k): one real least-squares solve.  Returns ((A1, c), the sup of
-    abs(abs(Phi) - 1) over the samples).
+    Im c_k): one real least-squares problem, solved by its normal
+    equations and one Cholesky factor (the columns [1, Re w^-k, -Im w^-k]
+    are well conditioned on a curve near the circle).  Needs at least
+    2 k_neg + 1 samples.  Returns ((A1, c), the sup of abs(abs(Phi) - 1)
+    over the samples); raises NoConvergence on a non-finite sample, when
+    the Gram matrix is singular, or when that sup exceeds _PHI_ACCEPT or
+    is NaN.
     """
-    powers = np.cumprod(np.broadcast_to(1.0 / boundary[:, None],
-                                        (boundary.size, k_neg)), axis=1)
+    if not np.isfinite(boundary).all():
+        raise NoConvergence("exterior Riemann fit: non-finite boundary sample")
+    # the pairs (Re w^-k, -Im w^-k) are conj(w)^-k, run straight into
+    # the matrix through a complex view of its last 2 k_neg columns
     mat = np.empty((boundary.size, 2 * k_neg + 1))
     mat[:, 0] = 1.0
-    mat[:, 1::2] = powers.real
-    mat[:, 2::2] = -powers.imag
+    np.cumprod(np.broadcast_to(1.0 / np.conj(boundary)[:, None],
+                               (boundary.size, k_neg)),
+               axis=1, out=mat[:, 1:].view(complex))
     rhs = -np.log(np.abs(boundary))
-    sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
+    try:
+        sol = _normal_solve(mat, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"exterior Riemann fit failed: {exc}") from None
     resid = float(np.max(np.abs(np.expm1(mat @ sol - rhs))))
-    if resid > _PHI_ACCEPT:
+    if not resid <= _PHI_ACCEPT:
         raise NoConvergence(f"exterior Riemann fit residual {resid:.2e}")
     return (math.exp(sol[0]), sol[1::2] + 1j * sol[2::2]), resid
 
@@ -609,7 +635,9 @@ def solve_beltrami(mu: BeltramiField, normalization: str = "ModelB",
     m_samples = 4 * rule.angular_count
     circle = np.exp(2j * math.pi * np.arange(m_samples) / m_samples)
     boundary = shell._eval_b(circle)
-    phi, phi_resid = _exterior_riemann(boundary, _PHI_TRUNCATION)
+    # small rules have fewer samples than the full fit has unknowns
+    k_neg = min(_PHI_TRUNCATION, (m_samples - 2) // 2)
+    phi, phi_resid = _exterior_riemann(boundary, k_neg)
     anchors = shell._eval_b(np.array([-1.0 + 0j, -1j, 1.0 + 0j]))
     phi_anchor = _phi_eval(phi, anchors)
     phi_anchor = phi_anchor / np.abs(phi_anchor)
@@ -727,22 +755,33 @@ def welding_decompose(w: QCMap, truncation: int = 32, *,
 
     fCoeffs come from the exact interior Taylor data; gCoeffs from a
     least-squares fit of the exterior series on the welded circle
-    samples (Tikhonov damped).  Raises FitFailure when the boundary
-    residual exceeds tol.
+    samples, Tikhonov damped: its normal equations carry lambda^2 = 1e-12
+    on the Gram diagonal and are solved by one Cholesky factor.  Raises
+    FitFailure on a non-finite boundary sample, when the Gram matrix
+    cannot be factored, or when the boundary residual exceeds tol or is
+    NaN.
     """
     if w.normalization != "ModelA":
         raise ValueError("welding_decompose needs a Model A solution")
     fcoeffs = _taylor_from_tail(w._series.tail, truncation)
     boundary = w._dress["boundary"]
+    if not np.isfinite(boundary).all():
+        raise FitFailure("welding fit: non-finite boundary sample")
     psi = w._dress["psi_point"]
     gamma = np.conj(psi) * _phi_eval(w._dress["phi"], boundary)
-    powers = np.column_stack([gamma ** (1 - n) for n in range(truncation + 1)])
-    lam = math.sqrt(1e-12)
-    mat = np.vstack([powers, lam * np.eye(truncation + 1, dtype=complex)])
-    rhs = np.concatenate([boundary, np.zeros(truncation + 1, dtype=complex)])
-    gcoeffs, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
+    # columns gamma^(1 - n), n = 0..truncation: gamma, then a running
+    # product of 1/gamma from 1
+    powers = np.empty((gamma.size, truncation + 1), dtype=complex)
+    powers[:, 0] = gamma
+    powers[:, 1:] = (1.0 / gamma)[:, None]
+    powers[:, 1:2] = 1.0
+    np.cumprod(powers[:, 1:], axis=1, out=powers[:, 1:])
+    try:
+        gcoeffs = _normal_solve(powers, boundary, damping=1e-12)
+    except np.linalg.LinAlgError as exc:
+        raise FitFailure(f"welding fit failed: {exc}") from None
     resid = float(np.max(np.abs(powers @ gcoeffs - boundary)))
-    if resid > tol:
+    if not resid <= tol:
         raise FitFailure(f"welding boundary residual {resid:.3e} exceeds {tol:.1e}")
     capacity = float(abs(gcoeffs[0]))
     return WeldingData(fCoeffs=fcoeffs, gCoeffs=gcoeffs, capacity=capacity,

@@ -96,6 +96,7 @@ def test_compare_counts_pairs_and_applies_the_gain_rule(tmp_path, capsys):
         ordered = sorted(values.values())
         median, q1, q3 = bench_json._quartiles(ordered)
         return {"label": label, "commit": label[0], "repeats": len(values),
+                "failed_share": 0.2, "correct": True,
                 "metrics": {name: {"median": m, "q1": a, "q3": b,
                                    "by_seed": {str(s): sign * v for s, v in values.items()}}
                             for name, sign, (m, a, b) in
@@ -136,3 +137,26 @@ def test_compare_counts_pairs_and_applies_the_gain_rule(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "modelb_bers" in out and "won 9 of 10" in out and "wp_pairings" not in out
     assert bench_json.main(args + ["nothing"]) == 1
+
+
+def test_compare_flags_a_rise_in_the_failed_share(tmp_path, capsys):
+    metrics = {"ops_per_s": {"median": 1.0, "q1": 1.0, "q3": 1.0, "by_seed": {"1": 1.0}}}
+
+    def entry(label, failed_share, correct):
+        return {"label": label, "commit": label[0], "repeats": 1, "metrics": metrics,
+                "failed_share": failed_share, "correct": correct}
+
+    same = bench_json.compare_outcomes(entry("parent", 0.2, True), entry("change", 0.2, True))
+    assert same == {"failed_share": (0.2, 0.2), "correct": (True, True),
+                    "failed_share_rose": False}
+    fewer = bench_json.compare_outcomes(entry("parent", 0.2, True), entry("change", 0.1, True))
+    assert not fewer["failed_share_rose"]
+    runs = [entry("parent", 0.2, True), entry("change", 0.25, False)]
+    (tmp_path / "BENCH_modela_welding.json").write_text(
+        json.dumps({"workload": "modela_welding", "runs": runs}))
+    rose = bench_json.compare_outcomes(*runs)
+    assert rose["failed_share_rose"] and rose["correct"] == (True, False)
+    capsys.readouterr()
+    assert bench_json.main(["--out-dir", str(tmp_path), "--compare", "parent", "change"]) == 0
+    out = capsys.readouterr().out
+    assert "failed_share: 0.2 -> 0.25, ROSE; correct: True -> False" in out

@@ -1,6 +1,9 @@
 """Solver, Schwarzian, embedding, and welding tests."""
 
 import math
+import re
+import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -268,23 +271,35 @@ class TestSolveBeltrami:
         assert qc.residualNorm < 1e-9
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_model_a_riemann_fit_is_one_lstsq(self, seed, monkeypatch):
+    def test_model_a_riemann_fit_is_one_cholesky(self, seed, monkeypatch):
         # the exterior Riemann fit is linear in log|Phi|, so a Model A
-        # solve of a harmonic field makes exactly one least-squares call
+        # solve of a harmonic field factors exactly one Gram matrix, and
+        # neither the solve nor the welding makes a least-squares call
         rng = np.random.default_rng(seed)
         mu = lambda_map(HoloCoeffs(Domain.UNIT_DISK,
                                    rng.normal(size=8) + 1j * rng.normal(size=8)))
         mu = mu.scaled(0.1 / mu.sup_norm())
-        calls = []
-        lstsq = np.linalg.lstsq
+        calls = {"lstsq": 0, "cholesky": 0}
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return lstsq(*args, **kwargs)
+        def counting(name):
+            original = getattr(np.linalg, name)
 
-        monkeypatch.setattr(np.linalg, "lstsq", counting)
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, wrapper)
+
+        counting("lstsq")
+        counting("cholesky")
         qc = solve_beltrami(mu, "ModelA")
-        assert len(calls) == 1
+        assert calls == {"lstsq": 0, "cholesky": 1}
+        # at 8 modes, sup 0.1 the welding's fixed truncation may miss tol
+        try:
+            welding_decompose(qc)
+        except FitFailure:
+            pass
+        assert calls == {"lstsq": 0, "cholesky": 2}
         for name in ("w(-1)+1", "w(-i)+i", "w(1)-1"):
             assert qc.normalizationChecks[name] < 1e-8
         assert qc.normalizationChecks["phiResidual"] < 1e-10
@@ -399,6 +414,19 @@ class TestExteriorRiemann:
         assert np.max(np.abs(dphi - (0.5 * (1.0 + root) + 2.0 * b / (w**2 * root)))) < 1e-9
         assert np.array_equal(_phi_eval(fit, w), phi)
 
+    def test_nan_boundary_names_its_cause(self):
+        # the Cholesky factorization would pass the NaN through
+        zeta = np.exp(2j * np.pi * np.arange(512) / 512)
+        curve = zeta + 0.05 / zeta
+        curve[17] = np.nan
+        with pytest.raises(NoConvergence, match="non-finite"):
+            _exterior_riemann(curve, _PHI_TRUNCATION)
+
+    def test_constant_boundary_names_its_cause(self):
+        # every column is constant, so the Gram matrix has rank one
+        with pytest.raises(NoConvergence, match="positive definite"):
+            _exterior_riemann(np.full(512, 1.2 + 0.1j), _PHI_TRUNCATION)
+
 
 class TestSchwarzian:
     def test_square(self):
@@ -481,6 +509,29 @@ class TestWelding:
         # capacity is pinned by the leading exterior-map coefficient
         assert wd.capacity == pytest.approx(1.0 / qc._dress["phi"][0], abs=1e-8)
 
+    def test_nan_boundary_names_its_cause(self):
+        # the damped Gram matrix of the welding is positive definite for
+        # any finite boundary, a constant one included, so only a
+        # non-finite sample can stop its factorization
+        qc = solve_beltrami(harmonic([0.1 * A2_UNIT]), "ModelA", 1e-9,
+                            rule=QuadRule(16, 32))
+        boundary = qc._dress["boundary"].copy()
+        boundary[5] = np.nan
+        broken = replace(qc, _dress={**qc._dress, "boundary": boundary})
+        with pytest.raises(FitFailure, match="non-finite"):
+            welding_decompose(broken)
+
+    def test_failed_factorization_is_a_fit_failure(self, monkeypatch):
+        qc = solve_beltrami(harmonic([0.1 * A2_UNIT]), "ModelA", 1e-9,
+                            rule=QuadRule(16, 32))
+
+        def indefinite(gram):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", indefinite)
+        with pytest.raises(FitFailure, match="welding fit failed: Matrix is not positive"):
+            welding_decompose(qc)
+
     def test_needs_symmetric_normalization(self):
         qc = solve_beltrami(harmonic([0.05 * A2_UNIT]), "ModelB", 1e-8,
                             rule=QuadRule(16, 32))
@@ -537,6 +588,72 @@ def test_model_a_contract_sweep(modes, sup, welds):
         except FitFailure:
             if welds:
                 raise
+
+
+@pytest.mark.parametrize("rule", [QuadRule(8, 16), QuadRule(12, 20)],
+                         ids=["8x16", "12x20"])
+def test_model_a_small_rules(rule):
+    # 4 x 16 and 4 x 20 circle samples are fewer than the 81 real unknowns
+    # of the full Riemann fit, so its truncation shrinks to fit the data
+    for modes in (1, 2, 3, 4):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            mu = harmonic(rng.normal(size=modes) + 1j * rng.normal(size=modes))
+            qc = solve_beltrami(mu.scaled(0.05 / mu.sup_norm()), "ModelA", rule=rule)
+            wd = welding_decompose(qc)
+            assert qc.normalizationChecks["phiResidual"] < 1e-10
+            assert wd.fitResidual < 1e-10
+
+
+def _svd_reference(qc, truncation=32):
+    """Both fits of a Model A solution as SVD least squares on the same
+    samples: (Riemann fit residual, welding fit residual), the welding
+    Tikhonov damped by stacking lambda I under its matrix."""
+    boundary = qc._dress["boundary"]
+    powers = np.column_stack([boundary ** -k for k in range(1, _PHI_TRUNCATION + 1)])
+    mat = np.column_stack([np.ones(boundary.size)]
+                          + [part for k in range(_PHI_TRUNCATION)
+                             for part in (powers[:, k].real, -powers[:, k].imag)])
+    rhs = -np.log(np.abs(boundary))
+    sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
+    phi_resid = np.max(np.abs(np.expm1(mat @ sol - rhs)))
+    gamma = np.conj(qc._dress["psi_point"]) * _phi_eval(qc._dress["phi"], boundary)
+    powers = np.column_stack([gamma ** (1 - n) for n in range(truncation + 1)])
+    stacked = np.vstack([powers, 1e-6 * np.eye(truncation + 1)])
+    padded = np.concatenate([boundary, np.zeros(truncation + 1)])
+    g, *_ = np.linalg.lstsq(stacked, padded, rcond=None)
+    return phi_resid, np.max(np.abs(powers @ g - boundary))
+
+
+@pytest.mark.parametrize("modes, sup", [(1, 0.45), (2, 0.3), (4, 0.15), (8, 0.1)])
+def test_model_a_fits_match_svd_least_squares(modes, sup):
+    # the normal equations reach the residuals of the SVD solves on the
+    # cells of test_model_a_contract_sweep
+    def close(resid, ref):
+        return resid < 1e-13 or 0.5 * ref <= resid <= 2.0 * ref
+
+    for seed in range(2000, 2010):
+        rng = np.random.default_rng(seed)
+        mu = harmonic(rng.normal(size=modes) + 1j * rng.normal(size=modes))
+        qc = solve_beltrami(mu.scaled(sup / mu.sup_norm()), "ModelA")
+        phi_ref, weld_ref = _svd_reference(qc)
+        assert close(qc.normalizationChecks["phiResidual"], phi_ref)
+        assert close(welding_decompose(qc, tol=np.inf).fitResidual, weld_ref)
+
+
+@pytest.mark.parametrize("cell, modes, error, resid", [
+    ("F3/8/1", 8, NoConvergence, 1.24e-7), ("F3/4/2", 4, FitFailure, 5.75e-5)])
+def test_model_a_benchmark_failures_keep_their_cause(cell, modes, error, resid):
+    # the two failing Model A cells of the benchmark, drawn as it draws
+    # them: the Riemann fit at 8 modes and the welding fit at 4, sup 0.45
+    rng = np.random.default_rng([0, zlib.crc32(cell.encode())])
+    c = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
+    c = c * (0.45 / lambda_map(HoloCoeffs(Domain.UNIT_DISK, c)).sup_norm())
+    with pytest.raises(error) as info:
+        qc = solve_beltrami(lambda_map(HoloCoeffs(Domain.UNIT_DISK, c)), "ModelA")
+        welding_decompose(qc)
+    found = float(re.search(r"residual (\S+)", str(info.value)).group(1))
+    assert found == pytest.approx(resid, rel=5e-3)
 
 
 def _pinned_fields():

@@ -29,7 +29,10 @@ end-to-end metric, it prints both sides' median and quartiles, the pairs
 the change won (runs matched by seed; a tie is not a win) and whether the
 gain rule holds: at least 9 in 10 pairs won, and the medians further apart
 than the parent's interquartile range.  Which side of a metric is better
-comes from the ``BENCHMARK.json`` of this checkout.
+comes from the ``BENCHMARK.json`` of this checkout.  It also prints each
+side's failed share and whether all its runs were correct, and flags a
+rise in the failed share, for which the benchmark rejects a change
+whatever its metrics.
 """
 
 from __future__ import annotations
@@ -114,6 +117,14 @@ def compare_metric(parent: dict, change: dict, better: str) -> dict:
             "gain": bool(common) and won >= GAIN_SHARE * len(common) and gap > iqr}
 
 
+def compare_outcomes(parent: dict, change: dict) -> dict:
+    """Both entries' failed share and correctness, and whether the
+    change's failed share is the larger."""
+    return {"failed_share": (parent["failed_share"], change["failed_share"]),
+            "correct": (parent["correct"], change["correct"]),
+            "failed_share_rose": change["failed_share"] > parent["failed_share"]}
+
+
 def compare(out_dir: Path, parent_label: str, change_label: str, directions: dict) -> dict:
     """{workload: {metric: compare_metric(...)}} over the BENCH files that
     hold both labels."""
@@ -130,6 +141,10 @@ def compare(out_dir: Path, parent_label: str, change_label: str, directions: dic
                 if name in parent["metrics"] and name in change["metrics"]}
         print(f"{doc['workload']}: {parent_label} @ {parent['commit']} ({parent['repeats']} runs)"
               f" vs {change_label} @ {change['commit']} ({change['repeats']} runs)")
+        outcomes = compare_outcomes(parent, change)
+        (pf, cf), (pc, cc) = outcomes["failed_share"], outcomes["correct"]
+        print(f"  failed_share: {pf:.4g} -> {cf:.4g}"
+              f"{', ROSE' if outcomes['failed_share_rose'] else ''}; correct: {pc} -> {cc}")
         for name, row in rows.items():
             (pm, p1, p3), (cm, c1, c3) = row["parent"], row["change"]
             print(f"  {name}: {pm:.4g} [{p1:.4g}, {p3:.4g}] -> {cm:.4g} [{c1:.4g}, {c3:.4g}],"
