@@ -9,12 +9,13 @@ and residual identities exact rather than approximate.
 Exponents a, b are integers of either sign; the log power j is a
 nonnegative integer.  A BiPoly is one dense complex block
 c[j, a - amin, b - bmin] over every log power j < J and the (a, b) box
-of all of them.  Each operation is a fixed number of numpy calls on the
-block, whatever the number of log powers or terms: sums and derivatives
-are shifted slices, the Cauchy transform one contraction with a
-triangular kernel in j, and the product one reduction over shifted
-windows per log power of its sparser factor (the solver's dilatation
-has one).
+of all of them.  Sums and derivatives are shifted slices and the Cauchy
+transform one contraction with a triangular kernel in j, a fixed number
+of numpy calls whatever the number of log powers or terms.  The product
+adds one scaled, shifted copy of the denser factor's block per nonzero
+term of the sparser factor, in np.nonzero order, so every coefficient is
+summed over the sparser factor's terms in that order.  Nothing is cut by
+size: prune drops exact zeros only.
 
 On the R x M nodes of a polar rule one real matmul sums each angular
 mode a - b per ring and one FFT per ring gives the values (eval_rule),
@@ -184,55 +185,37 @@ class BiPoly:
     def _mul_bipoly(self, other):
         if not (self._c.size and other._c.size):
             return BiPoly()
-        # The product of two levels sums over the terms of the sparser one
-        # (self's on a tie) in their order, each term the left factor, so
-        # no coefficient's rounding depends on the boxes.  The sparser
-        # factor's terms gather shifted windows of g, summed ascending onto
-        # g's denser levels and descending (g's terms ascending) elsewhere.
-        counts = [np.count_nonzero(p._c, axis=(1, 2)) for p in (self, other)]
-        flip = counts[0].sum() > counts[1].sum()
-        (s, g), (s_nnz, g_nnz) = ((other, self), counts[::-1]) if flip else ((self, other), counts)
-        ns, nas, nbs = s._c.shape
+        # Every coefficient of the product is summed over the terms of the
+        # sparser factor s (self on a tie) in np.nonzero order, (j, a, b)
+        # ascending, each term adding its scaled, shifted copy of the
+        # denser block g, so no coefficient's rounding depends on the boxes.
+        s, g = self, other
+        if np.count_nonzero(s._c) > np.count_nonzero(g._c):
+            s, g = g, s
         ng, nag, nbg = g._c.shape
-        out = np.zeros((ns + ng - 1, nas + nag - 1, nbs + nbg - 1), dtype=complex)
-        pad = np.zeros((ng, nag + 2 * nas - 2, nbg + 2 * nbs - 2), dtype=complex)
-        pad[:, nas - 1:nas - 1 + nag, nbs - 1:nbs - 1 + nbg] = g._c
-        # window (nas - 1 - p, nbs - 1 - q) of pad is g shifted by (p, q)
-        windows = np.ndarray((ng, nas, nbs) + out.shape[1:], complex, pad, 0,
-                             pad.strides + pad.strides[1:])
-        for t in np.flatnonzero(s_nnz).tolist():
-            lead = s_nnz[t] < g_nnz if flip else s_nnz[t] <= g_nnz
-            ps, qs = np.nonzero(s._c[t])
-            vals = s._c[t, ps, qs][:, None, None]
-            for mask, step in ((lead, 1), (~lead, -1)):
-                hit = np.flatnonzero(mask)
-                if not hit.size:
-                    continue
-                lo, hi = int(hit[0]), int(hit[-1]) + 1
-                terms = windows[lo:hi, nas - 1 - ps[::step], nbs - 1 - qs[::step]]
-                terms[~mask[lo:hi]] = 0
-                if step == 1:
-                    np.multiply(vals, terms, out=terms)
-                else:
-                    np.multiply(terms, vals[::-1], out=terms)
-                out[t + lo:t + hi] += terms.sum(axis=1)
+        out = np.zeros(np.add(s._c.shape, g._c.shape) - 1, dtype=complex)
+        terms = np.nonzero(s._c)
+        # plain ints slice faster than numpy ones
+        for t, p, q, v in zip(*(i.tolist() for i in terms), s._c[terms]):
+            out[t:t + ng, p:p + nag, q:q + nbg] += v * g._c
         return BiPoly(out, self._amin + other._amin, self._bmin + other._bmin)
 
-    def prune(self, rel=1e-18):
-        """Drop coefficients below rel times the largest magnitude."""
-        mag = np.abs(self._c)
-        top = mag.max() if mag.size else 0.0
-        if top == 0.0:
+    def prune(self):
+        """Drop exact zeros: trim the block to the box of the nonzero
+        coefficients.  Every nonzero coefficient is kept, however small:
+        on the small radii where the solver evaluates, a tiny coefficient
+        of a high log power can be as large as the whole function."""
+        keep = self._c != 0
+        if not keep.any():
             return BiPoly()
-        keep = mag > rel * top
         ja = keep.any(axis=2)
         levels = np.flatnonzero(ja.any(axis=1))
         rows = np.flatnonzero(ja.any(axis=0))
         cols = np.flatnonzero(keep.any(axis=(0, 1)))
         box = (slice(0, levels[-1] + 1), slice(rows[0], rows[-1] + 1),
                slice(cols[0], cols[-1] + 1))
-        return BiPoly(np.where(keep[box], self._c[box], 0),
-                      self._amin + int(rows[0]), self._bmin + int(cols[0]))
+        return BiPoly(self._c[box].copy(), self._amin + int(rows[0]),
+                      self._bmin + int(cols[0]))
 
     # -- calculus ------------------------------------------------------
 

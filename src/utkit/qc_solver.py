@@ -151,7 +151,7 @@ def _fit_bipoly(gf: GridFunction, deg_z: int, deg_zbar: int):
         arr.flat[cols] = coef
         spec[:, q] -= powers @ coef
     resid = float(np.max(np.abs(np.fft.ifft(spec, axis=1)))) * m_count
-    return BiPoly(arr[None], 0, -1).prune(0.0), resid
+    return BiPoly(arr[None], 0, -1).prune(), resid
 
 
 def beurling_transform(h, z, *, degrees=(6, 18), tol=1e-6) -> complex:

@@ -77,10 +77,57 @@ class TestAlgebra:
         assert fdi == pytest.approx(dz_exact - dzbar_exact, rel=1e-8)
 
     def test_prune(self):
-        p = BiPoly.from_term(1.0, 0, 0) + BiPoly.from_term(1e-30, 5, 5)
+        # exact zeros go and the block shrinks to their box; a tiny
+        # coefficient stays, whatever its size next to the others
+        p = (BiPoly.from_term(1.0, 1, 2) + BiPoly.from_term(1e-30, 3, 5, 1)
+             + BiPoly.from_term(2.0, 0, 0, 3) - BiPoly.from_term(2.0, 0, 0, 3))
+        assert p._c.shape == (4, 4, 6)
         q = p.prune()
-        assert q.nnz() == 1
-        assert q.coeff(0, 0) == 1.0
+        assert q._c.shape == (2, 3, 4)
+        assert (q._amin, q._bmin) == (1, 2)
+        assert list(q.terms()) == [(1.0, 1, 2, 0), (1e-30, 3, 5, 1)]
+        assert BiPoly.from_term(0.0, 2, 2, 1).prune()._c.size == 0
+
+    def test_product_sums_over_the_sparser_factor_in_term_order(self):
+        # a multi-level pair with nnz 7 and 9, and a tie at 8: every
+        # coefficient sums the pair products over the sparser factor's
+        # terms (self's on a tie) in their order, bit for bit
+        rng = np.random.default_rng(7)
+
+        def draw(count):
+            p = BiPoly.zero()
+            while p.nnz() < count:
+                p = p + BiPoly.from_term(complex(*rng.normal(size=2)),
+                                         *rng.integers(0, 3, size=2), rng.integers(0, 3))
+            return p
+
+        def times(x, y):
+            # one element through the multiply ufunc, as the block product
+            # computes it: numpy's vector loop may fuse a multiply-add that
+            # a scalar complex product rounds twice
+            return np.multiply(np.array([x]), np.array([y]))[0]
+
+        def reference(first, second):
+            out = {}
+            for cs, a, b, j in first.terms():
+                for cg, a2, b2, j2 in second.terms():
+                    key = (a + a2, b + b2, j + j2)
+                    out[key] = out.get(key, 0j) + times(cs, cg)
+            return out
+
+        def coeffs(p):
+            return {(a, b, j): c for c, a, b, j in p.terms()}
+
+        sparse, dense = draw(7), draw(9)
+        assert sparse._c.shape[0] > 1 and dense._c.shape[0] > 1
+        want = reference(sparse, dense)
+        assert want != reference(dense, sparse)
+        assert coeffs(sparse * dense) == want
+        assert coeffs(dense * sparse) == want
+        left, right = draw(8), draw(8)
+        assert reference(left, right) != reference(right, left)
+        assert coeffs(left * right) == reference(left, right)
+        assert coeffs(right * left) == reference(right, left)
 
 
 class TestCauchy:

@@ -1,0 +1,48 @@
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "fingerprint", Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py")
+fingerprint = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(fingerprint)
+
+
+@pytest.mark.parametrize("family", sorted(fingerprint.FAMILIES))
+def test_two_runs_agree(family):
+    # one seed per family: the digests, counts and failures repeat exactly
+    first = fingerprint.fingerprint(family, seeds=1)
+    assert first["cases"] > 0
+    assert first == fingerprint.fingerprint(family, seeds=1)
+
+
+def test_outputs_digest_sees_every_bit(monkeypatch):
+    # a change in the last bit of one grid sample moves the outputs digest
+    # and leaves the decisions digest alone
+    base = fingerprint.fingerprint("radial_sampled")
+    solved = fingerprint._solved
+
+    def nudged(qc):
+        record = solved(qc)
+        record[5] = record[5].copy()
+        record[5][0, 0] = complex(np.nextafter(record[5][0, 0].real, np.inf),
+                                  record[5][0, 0].imag)
+        return record
+
+    monkeypatch.setattr(fingerprint, "_solved", nudged)
+    moved = fingerprint.fingerprint("radial_sampled")
+    assert moved["outputs"] != base["outputs"]
+    assert moved["decisions"] == base["decisions"]
+
+
+def test_main_prints_each_family(capsys):
+    assert fingerprint.main(["--seeds", "1", "-v"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    heads = [i for i, line in enumerate(out) if not line.startswith(" ")]
+    assert [out[i].split(":")[0] for i in heads] == list(fingerprint.FAMILIES)
+    assert "radial_sampled: 5/5 passed" in out
+    for i in heads:
+        assert out[i + 1].split()[0] == "outputs" and len(out[i + 1].split()[1]) == 64
+        assert out[i + 2].split()[0] == "decisions"
