@@ -42,6 +42,12 @@ def tree_sum(values):
     return buf[0].reshape(a.shape[:-1]).copy()
 
 
+def gauss_legendre_01(n: int):
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
 def check_finite(values, what: str = "value"):
     arr = np.asarray(values)
     if arr.dtype.kind == "c" and arr.ndim and arr.flags.c_contiguous:

@@ -121,15 +121,6 @@ def point_pair_invariant(z: DiskPoint, w: DiskPoint) -> float:
     return num / den
 
 
-def u_array(z, w):
-    """Vectorized invariant for same-side complex samples (no validation)."""
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    num = np.abs(z - w) ** 2
-    den = (1.0 - np.abs(z) ** 2) * (1.0 - np.abs(w) ** 2)
-    return num / den
-
-
 # G = (atanh(t)/t - 1)/pi with t = 1/(2u+1), so for u >= 2 (t^2 <= 1/25)
 # G = (1/pi) sum_k t^(2k)/(2k+1): positive terms, no cancellation, and
 # eleven of them reach double precision.  Below the cut the log form
@@ -223,7 +214,7 @@ class MoebiusMap:
 
     @classmethod
     def sigma_center(cls, z0: complex, variant: str = "center") -> "MoebiusMap":
-        """Recentering maps used throughout the quadrature paths.
+        """Recentering maps.
 
         variant "center" requires |z0| < 1 and returns w -> (w - z0)/(1 - conj(z0) w),
         which carries z0 to 0.  variant "fiber" requires |w0| > 1 (or infinity)

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import gauss_legendre_01
+from ._util import gauss_legendre_01
 
 _ORDER = 8
 # between the outer radii no panel spans more than these ratios, in r toward
@@ -83,10 +83,10 @@ class ModeTable:
              1.0 - _cuts(_FLOOR_1, 1.0 - r[-1], 4.0)]
             + [_cuts(a, b, _GRADING_0) if b <= 0.5 else 1.0 - _cuts(1.0 - b, 1.0 - a, _GRADING_1)
                for a, b in zip(r[:-1], r[1:])]))
-        self.xg, wg = gauss_legendre_01(_ORDER)
+        self.xg, self.wg = gauss_legendre_01(_ORDER)
         width = np.diff(self.ends)[:, None]
         self.s = (self.ends[:-1, None] + width * self.xg).ravel()
-        self.weights = (width * wg).ravel()
+        self.weights = (width * self.wg).ravel()
         # rho(s) s, with 1 - s^2 taken as (1 - s)(1 + s) near the circle
         self.measure = 4.0 * self.s / np.square((1.0 - self.s) * (1.0 + self.s))
 

@@ -6,27 +6,26 @@ the rule's order in both factors.  Exterior integrals are pulled back to the
 disk through z -> 1/conj(z); the hyperbolic area form is invariant under
 that inversion, which is why one rule serves both sides.
 
-Integrands singular at a point z (the resolvent kernel, the Cauchy kernel)
-use one windowed rule: the node sum is weighted by a C^2 window that
-vanishes at z, and the complementary near-diagonal part is integrated by
-a local polar patch around z whose rays stop at the unit circle.  The
-rays are measured from the direction of z, so the patch rule commutes
-with rotations.  Grid data is sampled on the patch nodes by bilinear
-interpolation in (r, theta).  ``integrate_double``, the grid path of
-``apply_resolvent`` and ``qc_solver.cauchy_transform`` all use it.
-``integrate_double`` uses the rotation symmetry of the rule: the window
-and the patch are built once per ring of outer nodes and rotated along
-the ring.
+Integrands singular at a point z (the Cauchy kernel, and kernels handed
+to ``integrate_double``) use one windowed rule: the node sum is weighted by
+a C^2 window that vanishes at z, and the complementary near-diagonal part
+is integrated by a local polar patch around z whose rays stop at the unit
+circle.  The rays are measured from the direction of z, so the patch rule
+commutes with rotations.  Grid data is sampled on the patch nodes by
+bilinear interpolation in (r, theta).  ``integrate_double`` and
+``qc_solver.cauchy_transform`` use it.  ``integrate_double`` uses the
+rotation symmetry of the rule: the window and the patch are built once per
+ring of outer nodes and rotated along the ring.
 
-``apply_resolvent`` has two paths.  For callable integrands it recenters the
-singular point by a disk automorphism and integrates on a radial rule
-graded into the logarithmic singularity.  Against the closed-form mode
-engine, on the products (1 - r^2)^4 r^n e^{i p theta} of basis fields, its
-error is at most 5e-10 of sup abs(f) for abs(z) <= 0.5 and n <= 10, and
-3.4e-8 for n up to 14; it grows toward the circle, to 1e-6 at abs(z) = 0.7
-and 5e-4 by 0.95, and for (1 - abs(w)^2)^4 at abs(z) = 0.9917 it is 79 %
-off.  For grid data it uses the windowed node sum and patch rule above;
-that path is cruder but works with sampled inputs.
+``apply_resolvent`` integrates through the closed-form mode kernels of
+``modes``.  A grid function is split into angular modes by one FFT per
+ring; each mode's radial profile, the polynomial through the rule's radii,
+is summed against Ghat_p on the mode table's radial rule, whose panel that
+holds abs(z) is cut at abs(z), where Ghat_p has its kink.  A callable is
+sampled on the nodes of its rule and takes the same path.  On profiles the
+rule's radii reproduce (the products of basis fields, constants) the value
+is exact to rounding up to abs(z) = 1 - 3.5e-4, the table's outermost
+radius.
 """
 
 from __future__ import annotations
@@ -37,17 +36,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._util import check_finite, pairwise_dot, tree_sum
+from ._util import check_finite, gauss_legendre_01, pairwise_dot, tree_sum
 from .errors import DomainMismatch, IoFailure, QuadratureFailure
-from .geometry import DiskPoint, Domain, MoebiusMap, kernel_value_array, u_array
+from .geometry import DiskPoint, Domain
+from .modes import mode_kernel, mode_table
 
 TWO_PI = 2.0 * math.pi
-
-
-def gauss_legendre_01(n: int):
-    """Gauss-Legendre nodes and weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
 
 
 @lru_cache(maxsize=32)
@@ -71,32 +65,17 @@ def gauss_radial(n: int):
     return r, w
 
 
-def graded_panels(a: float, b: float, *, toward: float, levels: int = 24,
-                  ratio: float = 0.25, order: int = 8):
-    """Composite Gauss rule on [a, b] with panels accumulating geometrically
-    toward one endpoint.
+def graded_panels(levels: int, ratio: float, order: int):
+    """Composite Gauss rule on [0, 1] with panels [ratio^(j+1), ratio^j],
+    j < levels, accumulating geometrically toward 0.
 
-    Handles integrable endpoint singularities (logs, mild powers): each panel
-    sees an analytic integrand, and panel widths shrink like ratio^level, so
-    the total error decays to ~1e-12 for log-class integrands.
+    Handles integrable singularities at 0 (logs, mild powers): each panel
+    sees an analytic integrand, and panel widths shrink like ratio^level.
     """
-    if not (a < b):
-        raise ValueError("empty panel interval")
-    if toward not in (a, b):
-        raise ValueError("grading endpoint must be an interval endpoint")
     xg, wg = gauss_legendre_01(order)
-    length = b - a
-    cuts = [ratio**j for j in range(levels + 1)]  # 1, ratio, ratio^2, ...
-    nodes, weights = [], []
-    for hi, lo in zip(cuts[:-1], cuts[1:]):
-        if toward == a:
-            left, right = a + lo * length, a + hi * length
-        else:
-            left, right = b - hi * length, b - lo * length
-        h = right - left
-        nodes.append(left + h * xg)
-        weights.append(h * wg)
-    return np.concatenate(nodes), np.concatenate(weights)
+    hi = ratio ** np.arange(levels)[:, None]
+    width = hi - ratio * hi
+    return (ratio * hi + width * xg).ravel(), (width * wg).ravel()
 
 
 @dataclass(frozen=True)
@@ -297,35 +276,104 @@ def integrate_exterior(f, rule: QuadRule | None = None,
 # resolvent application
 # ---------------------------------------------------------------------------
 
+def _interpolation(x, radii, lam):
+    """Rows that take values at ``radii`` to the polynomial through them at
+    the points x, by the second barycentric formula with weights ``lam``
+    (Berrut and Trefethen, SIAM Rev. 46, 2004)."""
+    d = x[:, None] - radii
+    # a point on a radius takes that radius' value to rounding
+    q = lam / np.where(d == 0.0, 1e-300, d)
+    return q / np.sum(q, axis=1, keepdims=True)
+
+
 @lru_cache(maxsize=8)
-def _recentred_radial_rule(levels: int = 24, order: int = 10):
-    """Radial rule in t = r^2 graded toward t = 0 for the log singularity,
-    shared read-only by every call with the same (levels, order)."""
-    t, wt = graded_panels(0.0, 1.0, toward=0.0, levels=levels, ratio=0.25, order=order)
-    t.flags.writeable = wt.flags.writeable = False
-    return t, wt
+def _radial_maps(radial_nodes: int):
+    """The radii of ``gauss_radial(radial_nodes)``, their barycentric
+    weights, and the rows that take values at the radii to the polynomial
+    through them at the mode table's nodes; shared read-only."""
+    radii = gauss_radial(radial_nodes)[0]
+    # each difference scaled by 4, the inverse capacity of [0, 1], keeps
+    # the products between under- and overflow
+    lam = 1.0 / np.prod(4.0 * (radii[:, None] - radii) + np.eye(radial_nodes), axis=1)
+    to_nodes = _interpolation(mode_table(0).s, radii, lam)
+    lam.flags.writeable = to_nodes.flags.writeable = False
+    return radii, lam, to_nodes
 
 
-def _apply_resolvent_callable(f, z: complex, domain: Domain, rule: QuadRule,
-                              *, levels: int = 24, order: int = 10) -> complex:
+def _apply_resolvent_grid(f: GridFunction, z: complex, domain: Domain) -> complex:
+    if f.domain is not domain:
+        raise DomainMismatch("grid function domain does not match the point")
+    # work on the disk: exterior nodes mirror onto the disk nodes index by
+    # index at the same angles, and G and the hyperbolic form are
+    # inversion invariant
     if domain is Domain.EXTERIOR_DISK:
-        zin = 0.0 if not np.isfinite(z) else 1.0 / np.conj(z)
-        return _apply_resolvent_callable(
-            lambda w: f(1.0 / np.conj(w)), zin, Domain.UNIT_DISK, rule,
-            levels=levels, order=order)
-    sigma_inv = MoebiusMap.sigma_center(z).inverse()
-    t, wt = _recentred_radial_rule(levels, order)
-    r = np.sqrt(t)
-    m = rule.angular_count
-    theta = TWO_PI * np.arange(m) / m
-    # the (radius, angle) nodes are dropped once f has been sampled
-    fv = _evaluate(f, sigma_inv.apply(r[:, None] * np.exp(1j * theta)[None, :]))
-    # the recentred kernel, the density and the weights depend on the
-    # radius only: one radial vector
-    radial = (0.5 * wt * (TWO_PI / m) * (4.0 / np.square(1.0 - t))
-              * kernel_value_array(t / (1.0 - t)))
-    return pairwise_dot(radial[:, None], fv)
+        z = 0.0 if not np.isfinite(z) else 1.0 / np.conj(z)
+    values = check_finite(f.values, "integrand sample")
+    m = f.rule.angular_count
+    rings = np.fft.fft(values, axis=1) / m
+    # modes below 64 eps sup abs(f) in every ring are dropped: G > 0 and
+    # G 1 = 1 bound abs(Ghat_p) by Ghat_0, so each moves (G f)(z) by about
+    # its own size at most
+    keep = np.nonzero(np.max(np.abs(rings), axis=0)
+                      > 64.0 * np.finfo(float).eps * np.max(np.abs(values)))[0]
+    radii, lam, to_nodes = _radial_maps(f.rule.radial_nodes)
+    table = mode_table(m // 2)
+    # the table's panel that holds r, cut at r where Ghat_p(r, s) has its kink
+    r = abs(z)
+    panel = np.searchsorted(table.ends, r, side="right") - 1
+    ends = table.ends[panel:panel + 2]
+    if r > ends[0]:
+        ends = np.insert(ends, 1, r)
+    width = np.diff(ends)[:, None]
+    cut = (ends[:-1, None] + width * table.xg).ravel()
+    measure = np.concatenate([table.weights * table.measure, (width * table.wg).ravel()
+                              * 4.0 * cut / np.square((1.0 - cut) * (1.0 + cut))])
+    measure[panel * table.xg.size:(panel + 1) * table.xg.size] = 0.0
+    # each kept mode's radial profile at the nodes, on (Re, Im) lanes
+    lanes = np.ascontiguousarray(rings[:, keep]).view(float)
+    profiles = np.concatenate([to_nodes @ lanes, _interpolation(cut, radii, lam) @ lanes])
+    modes = np.fft.fftfreq(m, 1.0 / m).astype(int)[keep]
+    s = np.concatenate([table.s, cut])
+    ghat = np.array([mode_kernel(int(p), r, s) for p in modes]).reshape(-1, s.size)
+    sums = np.einsum("ks,sk->k", ghat * measure, profiles.view(complex))
+    return complex(np.exp(1j * modes * np.angle(z)) @ sums)
 
+
+def _apply_resolvent_callable(f, z: complex, domain: Domain, rule: QuadRule) -> complex:
+    samples = GridFunction(rule, domain, _evaluate(f, rule.nodes(domain)))
+    return _apply_resolvent_grid(samples, z, domain)
+
+
+def apply_resolvent(f, z: DiskPoint, rule: QuadRule | None = None, *,
+                    tol: float | None = None) -> complex:
+    """(G f)(z) = integral of G(z, w) f(w) against the hyperbolic area form.
+
+    ``f`` is a GridFunction on the domain of z, or a vectorized callable on
+    complex arrays, which is sampled on the nodes of ``rule`` (default
+    ``QuadRule()``) and then treated alike (module docstring).  With ``tol``
+    set, a callable is also sampled on the rule with twice the radial and
+    angular counts; the two values must agree to ``tol`` relative to
+    1 + abs(value), and the finer one is returned.  Non-finite samples raise
+    NonFiniteValue.
+    """
+    if isinstance(f, GridFunction):
+        return _apply_resolvent_grid(f, z.value, z.domain)
+    if rule is None:
+        rule = QuadRule()
+    val = _apply_resolvent_callable(f, z.value, z.domain, rule)
+    if tol is not None:
+        ref = _apply_resolvent_callable(
+            f, z.value, z.domain, QuadRule(2 * rule.radial_nodes, 2 * rule.angular_count))
+        if abs(val - ref) > tol * (1.0 + abs(ref)):
+            raise QuadratureFailure(
+                f"resolvent quadrature did not stabilize: {abs(val - ref):.3e}")
+        val = ref
+    return val
+
+
+# ---------------------------------------------------------------------------
+# double integrals
+# ---------------------------------------------------------------------------
 
 def _smoothstep(s):
     s = np.clip(s, 0.0, 1.0)
@@ -334,8 +382,7 @@ def _smoothstep(s):
 
 # near-diagonal patch: radial panels in units of the ray length, graded
 # into the center where the kernels are singular, on 16 rays
-_PATCH_T, _PATCH_WT = graded_panels(0.0, 1.0, toward=0.0, levels=10,
-                                    ratio=0.25, order=4)
+_PATCH_T, _PATCH_WT = graded_panels(levels=10, ratio=0.25, order=4)
 _PATCH_DIRS = np.exp(1j * TWO_PI * np.arange(16) / 16)
 
 
@@ -393,59 +440,6 @@ def _bilinear_lookup(gf: GridFunction, pts):
     return ((1 - tr) * ((1 - ta) * v[lo, j0] + ta * v[lo, j1])
             + tr * ((1 - ta) * v[hi, j0] + ta * v[hi, j1]))
 
-
-def _apply_resolvent_grid(f: GridFunction, z: complex, domain: Domain) -> complex:
-    if f.domain is not domain:
-        raise DomainMismatch("grid function domain does not match the point")
-    rule = f.rule
-    # work on the disk, where the node geometry is uniform; exterior nodes
-    # mirror onto the disk nodes index by index
-    nodes = rule.nodes(Domain.UNIT_DISK)
-    if domain is Domain.EXTERIOR_DISK:
-        z = 0.0 if not np.isfinite(z) else 1.0 / np.conj(z)
-    u = u_array(z, nodes)
-    mask = u > 0.0
-    g = np.zeros_like(u)
-    g[mask] = kernel_value_array(u[mask])
-    rho = 4.0 / np.square(1.0 - np.abs(nodes) ** 2)
-    w = np.array(rule.node_weights(), dtype=float)
-    delta = rule.patch_radius
-    eta = _smoothstep(np.abs(nodes - z) / delta)
-    base = pairwise_dot(np.where(mask, w * rho * g * eta, 0.0), f.values)
-    pw, pweights = _local_polar_rule(z, delta)
-    g_rho = (kernel_value_array(u_array(z, pw))
-             * (4.0 / np.square(1.0 - np.abs(pw) ** 2)))
-    return base + pairwise_dot(pweights, g_rho * _bilinear_lookup(f, pw))
-
-
-def apply_resolvent(f, z: DiskPoint, rule: QuadRule | None = None, *,
-                    tol: float | None = None) -> complex:
-    """(G f)(z) = integral of G(z, w) f(w) against the hyperbolic area form.
-
-    ``f`` may be a vectorized callable on complex arrays (recentred path,
-    accurate well inside the disk; see the module docstring) or a
-    GridFunction on the matching domain (blended node sum with a local
-    diagonal patch).  With ``tol`` set, the callable path is repeated
-    at a higher panel order and must stabilize to that tolerance.
-    """
-    if isinstance(f, GridFunction):
-        return _apply_resolvent_grid(f, z.value, z.domain)
-    if rule is None:
-        rule = QuadRule()
-    val = _apply_resolvent_callable(f, z.value, z.domain, rule)
-    if tol is not None:
-        ref = _apply_resolvent_callable(f, z.value, z.domain, rule,
-                                        levels=28, order=14)
-        if abs(val - ref) > tol * (1.0 + abs(ref)):
-            raise QuadratureFailure(
-                f"resolvent quadrature did not stabilize: {abs(val - ref):.3e}")
-        val = ref
-    return val
-
-
-# ---------------------------------------------------------------------------
-# double integrals
-# ---------------------------------------------------------------------------
 
 # kernel entries per block of outer nodes in integrate_double
 _DOUBLE_BLOCK = 1 << 15

@@ -28,6 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._util import check_finite
 from .errors import DomainMismatch, IndexOutOfRange, IoFailure, QuadratureFailure
 from .geometry import Domain
 from .quadrature import GridFunction, QuadRule, integrate_disk, integrate_exterior
@@ -333,7 +334,9 @@ def d0_beta(mu: BeltramiField, truncation: int | None = None, *,
     Harmonic inputs transform algebraically: c_(n-2) = (n^3 - n) a_n.  The
     quadrature route expands the kernel 1/(zeta - z)^4 in moments
     M_k = integral of mu(zeta) zeta^(-k-4) over the exterior and is the
-    independent path for sampled fields and cross-checks.
+    independent path for sampled fields and cross-checks.  On the exterior
+    nodes e^{i theta} / r, zeta^(-k-4) = r^(k+4) e^{-i (k+4) theta}, so one
+    FFT per ring gives every moment.
     """
     if method not in ("auto", "closed", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
@@ -357,17 +360,19 @@ def d0_beta(mu: BeltramiField, truncation: int | None = None, *,
             rule, QuadRule(rule.radial_nodes + 16, rule.angular_count))]
     else:
         grids = [mu.grid]
-    nodes = [g.nodes() for g in grids]
-    coeffs = np.empty(n_out + 1, dtype=complex)
-    for k in range(n_out + 1):
-        mk = [integrate_exterior(GridFunction(g.rule, g.domain,
-                                              g.values * z ** (-k - 4.0)))
-              for g, z in zip(grids, nodes)]
-        if abs(mk[0] - mk[-1]) > 1e-8 * (1.0 + abs(mk[-1])):
-            raise QuadratureFailure(
-                f"moment {k} did not converge: {abs(mk[0] - mk[-1]):.3e}")
-        coeffs[k] = -(6.0 / math.pi) * math.comb(k + 3, 3) * mk[-1]
-    return HoloCoeffs(Domain.UNIT_DISK, coeffs)
+    k = np.arange(n_out + 1)
+    moments = []
+    for g in grids:
+        m = g.rule.angular_count
+        rings = np.fft.fft(check_finite(g.values, "integrand sample"), axis=1)[:, (k + 4) % m]
+        moments.append((2.0 * math.pi / m) * np.einsum(
+            "i,ik,ik->k", g.rule.radial_weights, g.rule.radii[:, None] ** k, rings))
+    gap = np.abs(moments[0] - moments[-1])
+    bad = np.nonzero(gap > 1e-8 * (1.0 + np.abs(moments[-1])))[0]
+    if bad.size:
+        raise QuadratureFailure(f"moment {bad[0]} did not converge: {gap[bad[0]]:.3e}")
+    # -(6 / pi) binomial(k + 3, 3) M_k
+    return HoloCoeffs(Domain.UNIT_DISK, -(k + 1.0) * (k + 2) * (k + 3) / math.pi * moments[-1])
 
 
 def project_P(mu: BeltramiField, count: int, *,

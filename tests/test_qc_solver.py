@@ -733,3 +733,20 @@ def test_sampled_radial_bers_embedding(k):
     rule = QuadRule(64, 128)
     out = bers_embedding(_radial_sampled(k, rule), rule=rule)
     assert np.max(np.abs(out.coeffs)) < 1e-8
+
+
+@pytest.mark.parametrize("modes", [1, 2, 4])
+def test_sampled_nonradial_matches_its_harmonic_solve(modes):
+    # a harmonic field sampled on 32 x 64 and fitted mode by mode solves
+    # to the same map as the field itself, solved at tol 1e-10
+    rule = QuadRule(32, 64)
+    ext = rule.nodes(Domain.EXTERIOR_DISK)
+    pts = np.array([1.05, 1.7j, -2.5 + 0.5j, 3.0 * np.exp(0.3j), 3.0 + 3.0j])
+    for seed in range(3000, 3010):
+        rng = np.random.default_rng(seed)
+        mu = harmonic(rng.normal(size=modes) + 1j * rng.normal(size=modes))
+        mu = mu.scaled(0.3 / mu.sup_norm())
+        sampled = BeltramiField.sampled(GridFunction(rule, Domain.EXTERIOR_DISK, mu(ext)))
+        want = solve_beltrami(mu, "ModelB", 1e-10).evaluate(pts)
+        got = solve_beltrami(sampled, "ModelB", rule=rule).evaluate(pts)
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-10, seed

@@ -193,21 +193,37 @@ class TestGridFunction:
         assert np.allclose(ext, 1.0 / np.conj(disk), rtol=0, atol=1e-15)
 
 
+def mid_panel_radii(*near):
+    """Midpoints between the mode table's radii next to each of ``near``:
+    radii inside a panel of the table, where the resolvent cuts it."""
+    r = mode_table(0).r
+    k = np.searchsorted(r, near)
+    return tuple(0.5 * (r[k - 1] + r[k]))
+
+
+def radial_sup(n):
+    """sup over 0 <= r <= 1 of (1 - r^2)^4 r^n, at r^2 = n / (n + 8)."""
+    t = n / (n + 8.0)
+    return (1.0 - t) ** 4 * t ** (0.5 * n)
+
+
 class TestResolvent:
     def test_constant_normalization_on_lattice(self):
-        # 5 radii x 8 angles, both charts and the point at infinity
+        # 5 radii and 3 mid-panel radii x 8 angles, both charts and the
+        # point at infinity: G 1 = 1 to rounding up to the table's
+        # outermost radius 1 - 3.5e-4
         rule = QuadRule()
         worst = 0.0
-        for rr in (0.0, 0.3, 0.6, 0.85, 0.95):
+        for rr in (0.0, 0.3, 0.6, 0.85, 0.95) + mid_panel_radii(0.2, 0.7, 0.99):
             for k in range(8):
                 z = rr * math.e ** (2j * math.pi * k / 8)
                 val = apply_resolvent(ones, DiskPoint.disk(z), rule)
                 worst = max(worst, abs(val - 1.0))
-        assert worst < 1e-6
+        assert worst < 1e-13
         ext = apply_resolvent(ones, DiskPoint.exterior(1.4 + 0.4j), rule)
         inf = apply_resolvent(ones, DiskPoint.infinity(), rule)
-        assert abs(ext - 1.0) < 1e-6
-        assert abs(inf - 1.0) < 1e-6
+        assert abs(ext - 1.0) < 1e-13
+        assert abs(inf - 1.0) < 1e-13
 
     def test_weighted_moment_value(self):
         # integral of G(0,w) (1-|w|^2)^2 d^2w = 1/9, so feeding the density
@@ -223,49 +239,96 @@ class TestResolvent:
         ref = apply_resolvent(f, DiskPoint.disk(0.2 + 0.1j), QuadRule())
         assert abs(val - ref) < 1e-8
 
+    def test_near_the_circle_with_tolerance(self):
+        # F4 of the benchmark: at the table radius nearest 0.9917, where a
+        # Moebius-recentred radial rule was 79 % off and its tol check failed
+        table = mode_table(0)
+        k = int(np.argmin(np.abs(table.r - 0.9917)))
+        prof = lambda s: (1.0 - np.square(s)) ** 4 + 0j
+        val = apply_resolvent(lambda w: prof(np.abs(w)), DiskPoint.disk(table.r[k]),
+                              tol=1e-6)
+        want = gfield_radial(table, 0, prof)[k]
+        assert abs(val - want) <= 1e-10 * abs(want)
+
+    def test_tolerance_failure_is_named(self):
+        # a profile the default rule's radii cannot follow: the value on the
+        # rule with twice the counts moves by more than tol
+        f = lambda w: np.abs(np.abs(w) - 0.5) * (1 - np.abs(w) ** 2) ** 4
+        with pytest.raises(QuadratureFailure, match="did not stabilize"):
+            apply_resolvent(f, DiskPoint.disk(0.3), tol=1e-10)
+
+    def test_basis_products_on_both_paths(self):
+        # every product mu_i conj(mu_j), 2 <= i, j <= 9, at 8 table radii
+        # up to 0.9917, against the mode engine's field
+        table = mode_table(0)
+        idx = np.linspace(0, np.searchsorted(table.r, 0.9917) - 1, 8).astype(int)
+        angles = 0.3 + np.arange(idx.size)
+        rule = QuadRule()
+        worst = 0.0
+        for i in range(2, 10):
+            for j in range(2, 10):
+                p, prof = i - j, basis_product(i, j)
+                f = lambda w: prof(np.abs(w)) * np.exp(1j * p * np.angle(w))
+                grid = GridFunction.from_callable(f, rule, Domain.UNIT_DISK)
+                want = gfield_radial(table, p, prof)[idx] * np.exp(1j * p * angles)
+                for z, g in zip(table.r[idx] * np.exp(1j * angles), want):
+                    for data in (f, grid):
+                        err = abs(apply_resolvent(data, DiskPoint.disk(z), rule) - g)
+                        worst = max(worst, err / radial_sup(i + j - 4))
+        assert worst < 1e-13
+
+    def test_many_modes_match_the_mode_sum(self):
+        # (1 - r^2)^2 e^w holds every mode n >= 0 with profile
+        # r^n (1 - r^2)^2 / n!; its resolvent is the sum of their fields
+        table = mode_table(0)
+        f = lambda w: (1 - np.abs(w) ** 2) ** 2 * np.exp(w)
+        fields = np.array([gfield_radial(table, n, lambda r, n=n: r**n * (1 - r**2) ** 2
+                                         / math.factorial(n)) for n in range(40)])
+        grid = GridFunction.from_callable(f, QuadRule(), Domain.UNIT_DISK)
+        for k in range(0, 64, 7):
+            z = table.r[k] * np.exp(1j * (0.3 + k))
+            want = np.exp(1j * np.arange(40) * np.angle(z)) @ fields[:, k]
+            for data in (f, grid):
+                assert abs(apply_resolvent(data, DiskPoint.disk(z)) - want) < 1e-14
+
+    def test_nonfinite_sample_raises(self):
+        f = lambda w: np.where(np.abs(w) > 0.9, np.nan, 1.0)
+        for data in (f, GridFunction.from_callable(f, QuadRule(8, 16), Domain.UNIT_DISK)):
+            with pytest.raises(NonFiniteValue):
+                apply_resolvent(data, DiskPoint.disk(0.2))
+
 
 class TestGridResolvent:
-    def test_patch_on_off_agree_away_from_data(self):
-        # data vanishing within 0.3 of the evaluation point: the diagonal
-        # patch must then be a no-op, leaving the plain node sum
-        rule = QuadRule()
-
-        def f(z):
-            s = np.clip((np.abs(z) - 0.3) / 0.2, 0.0, 1.0)
-            return s * s * (3 - 2 * s) * (1 - np.abs(z) ** 2) ** 2
-
-        gf = GridFunction.from_callable(f, rule, Domain.UNIT_DISK)
-        patched = apply_resolvent(gf, DiskPoint.disk(0.0))
-        w = rule.nodes()
-        u = np.abs(w) ** 2 / (1 - np.abs(w) ** 2)
-        rho = 4.0 / (1 - np.abs(w) ** 2) ** 2
-        plain = np.sum(rule.node_weights() * rho * kernel_value_array(u) * gf.values)
-        assert abs(patched - plain) < 1e-10
-
     def test_grid_normalization_moderate_radii(self):
         gf = GridFunction.from_callable(ones, QuadRule(), Domain.UNIT_DISK)
         worst = 0.0
-        for rr in (0.0, 0.4, 0.7, 0.9):
+        for rr in (0.0, 0.4, 0.7, 0.9) + mid_panel_radii(0.05, 0.5, 0.9):
             for k in range(4):
                 z = rr * np.exp(2j * math.pi * k / 4 + 0.1j)
                 worst = max(worst, abs(apply_resolvent(gf, DiskPoint.disk(z)) - 1.0))
-        assert worst < 1e-3
+        assert worst < 1e-13
 
     def test_refinement_reduces_residual(self):
-        lattice = [rr * np.exp(2j * math.pi * k / 4 + 0.1j)
-                   for rr in (0.0, 0.6, 0.9, 0.95) for k in range(4)]
+        # a profile with a kink at r = 1/2, which no rule's radii reproduce:
+        # the polynomial through them converges as the rule is refined
+        table = mode_table(0)
+        prof = lambda r: np.abs(r - 0.5) * (1 - r**2) ** 4
+        want = gfield_radial(table, 0, prof)
+        idx = np.nonzero(table.r <= 0.95)[0]
+        pts = table.r[idx] * np.exp(1j * (0.1 + idx))
         sups = []
         for nr, na in ((64, 128), (128, 256)):
-            gf = GridFunction.from_callable(ones, QuadRule(nr, na),
+            gf = GridFunction.from_callable(lambda w: prof(np.abs(w)), QuadRule(nr, na),
                                             Domain.UNIT_DISK)
-            sups.append(max(abs(apply_resolvent(gf, DiskPoint.disk(z)) - 1.0)
-                            for z in lattice))
+            sups.append(max(abs(apply_resolvent(gf, DiskPoint.disk(z)) - g)
+                            for z, g in zip(pts, want[idx])))
         assert sups[0] / sups[1] >= 4.0
 
     def test_exterior_grid_path(self):
         gf = GridFunction.from_callable(ones, QuadRule(), Domain.EXTERIOR_DISK)
-        assert abs(apply_resolvent(gf, DiskPoint.exterior(1.5 + 0.5j)) - 1.0) < 1e-3
-        assert abs(apply_resolvent(gf, DiskPoint.infinity()) - 1.0) < 1e-4
+        for z in (1.5 + 0.5j, 1.0 / mid_panel_radii(0.8)[0], -1.2j / mid_panel_radii(0.3)[0]):
+            assert abs(apply_resolvent(gf, DiskPoint.exterior(z)) - 1.0) < 1e-13
+        assert abs(apply_resolvent(gf, DiskPoint.infinity()) - 1.0) < 1e-13
 
     def test_domain_mismatch(self):
         gf = GridFunction.from_callable(ones, QuadRule(6, 8), Domain.UNIT_DISK)
@@ -414,7 +477,7 @@ class TestDoubleIntegral:
 
 class TestNearDiagonalPatch:
     """One polar patch rule, its rays cut at the unit circle, serves
-    integrate_double, the grid resolvent and cauchy_transform."""
+    integrate_double and cauchy_transform."""
 
     @staticmethod
     def pairing_kernel(prof, p):

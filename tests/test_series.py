@@ -14,6 +14,7 @@ from utkit import (
     HoloCoeffs,
     IndexOutOfRange,
     IoFailure,
+    NonFiniteValue,
     QuadRule,
     basis_mu,
     d0_beta,
@@ -298,6 +299,28 @@ class TestTransforms:
         closed = d0_beta(mu, truncation=5)
         quad = d0_beta(samp, truncation=5)
         assert np.allclose(quad.coeffs, closed.coeffs, rtol=1e-9, atol=1e-11)
+
+    @pytest.mark.parametrize("shape", [(32, 64), (8, 16)])
+    def test_fft_moments_match_the_node_sums(self, shape):
+        # the moments as one exterior node sum each, on a field with every
+        # mode k + 4; on 8 x 16, k + 4 runs past the angular count, where
+        # both alias alike
+        rule = QuadRule(*shape)
+        ext = rule.nodes(Domain.EXTERIOR_DISK)
+        grid = GridFunction(rule, Domain.EXTERIOR_DISK,
+                            random_field(6)(ext) * np.exp(2 / np.conj(ext)))
+        got = d0_beta(BeltramiField.sampled(grid), truncation=15).coeffs
+        want = [-(6 / math.pi) * math.comb(k + 3, 3) * integrate_exterior(
+            GridFunction(rule, Domain.EXTERIOR_DISK, grid.values * ext ** (-k - 4.0)))
+            for k in range(16)]
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_nonfinite_sample_raises(self):
+        rule = QuadRule(8, 16)
+        values = np.ones((8, 16), dtype=complex)
+        values[3, 5] = np.nan
+        with pytest.raises(NonFiniteValue):
+            d0_beta(BeltramiField.sampled(GridFunction(rule, Domain.EXTERIOR_DISK, values)))
 
     def test_d0_beta_domain_check(self):
         with pytest.raises(DomainMismatch):

@@ -1,17 +1,20 @@
-"""Hash the solver's outputs over fixed families of fields.
+"""Hash the solver's and the resolvent's outputs over fixed families.
 
     python3 tools/fingerprint.py [--seeds N] [-v]
 
-Solves four fixed families of Beltrami fields with the ``utkit`` of this
-checkout (its ``src/``) and prints, per family, two sha256 digests next to
-the pass count and the failure messages:
+Solves four fixed families of Beltrami fields, and runs one family of
+``apply_resolvent`` cases, with the ``utkit`` of this checkout (its
+``src/``) and prints, per family, two sha256 digests next to the pass count
+and the failure messages:
 
 * ``outputs`` covers every bit of what each solve returns: the series term
   count, the residual, the decay ratios, the principal tail, both grid
   samples of the map and, for Model A, the welding coefficients; for a
-  failure, the exception type and its full message.
+  resolvent case, the values of both paths; for a failure, the exception
+  type and its full message.
 * ``decisions`` covers only where each solve stopped: its term count, or
-  the exception type when it failed.
+  the exception type when it failed; a resolvent case passes when it is
+  within 1e-13 of sup abs(f) of its oracle.
 
 Two checkouts whose ``outputs`` agree compute the same bits on that family;
 two whose ``decisions`` agree pass and fail on the same fields after the same
@@ -26,9 +29,15 @@ number of terms.  The families:
   ``QuadRule(32, 64)``
 * ``nonradial_sampled``: Model B on harmonic fields sampled on
   ``QuadRule(32, 64)``, seeds 3000-3009 on 1, 2 and 4 modes at sup 0.3
+* ``resolvent``: ``apply_resolvent`` on a callable and on its samples on
+  ``QuadRule()``: the 64 basis products (1 - r^2)^4 r^(i+j-4) e^{i(i-j)theta},
+  2 <= i, j <= 9, at 8 fixed table radii up to 0.9917 against
+  ``gfield_radial``; F4 of the benchmark, (1 - abs(w)^2)^4 at the table
+  radius nearest 0.9917 with tol 1e-6; and G 1 = 1 at 16 radii below the
+  table's outermost radius 1 - 3.5e-4
 
-``--seeds N`` keeps the first N seeds of each family (all radial fields
-always run).  Failure messages are grouped with their numbers blanked out;
+``--seeds N`` keeps the first N seeds of each family and the first N basis
+products (all radial fields, F4 and G 1 always run).  Failure messages are grouped with their numbers blanked out;
 ``-v`` lists each failure in full.
 """
 
@@ -45,13 +54,21 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from utkit import BeltramiField, Domain, GridFunction, QuadRule  # noqa: E402
+from utkit import BeltramiField, DiskPoint, Domain, GridFunction, QuadRule  # noqa: E402
+from utkit import apply_resolvent  # noqa: E402
+from utkit.modes import gfield_radial, mode_table  # noqa: E402
 from utkit.qc_solver import solve_beltrami, welding_decompose  # noqa: E402
 
 MODES = (1, 2, 4, 8)
 SUPS = (0.1, 0.3, 0.45, 0.49)
 RADIAL_KS = (0.05, 0.1, 0.15, 0.2, 0.25)
 SAMPLED_RULE = (32, 64)
+BASIS_PAIRS = tuple((i, j) for i in range(2, 10) for j in range(2, 10))
+RESOLVENT_BOUND = 1e-13
+
+
+class BoundExceeded(Exception):
+    """A resolvent case off its oracle by more than RESOLVENT_BOUND."""
 
 
 def _harmonic_field(seed, modes, sup):
@@ -71,7 +88,7 @@ def _solved(qc):
 
 
 def modelb_harmonic(seeds):
-    for seed in range(1000, 1000 + min(seeds, 40)):
+    for seed in range(1000, 1040)[:seeds]:
         for modes in MODES:
             for sup in SUPS:
                 mu = _harmonic_field(seed, modes, sup)
@@ -84,7 +101,7 @@ def modela_welding(seeds):
         wd = welding_decompose(qc)
         return _solved(qc) + [wd.gCoeffs, wd.fitResidual]
 
-    for seed in range(2000, 2000 + min(seeds, 10)):
+    for seed in range(2000, 2010)[:seeds]:
         for modes in MODES:
             for sup in SUPS:
                 mu = _harmonic_field(seed, modes, sup)
@@ -102,14 +119,57 @@ def radial_sampled(seeds):
 def nonradial_sampled(seeds):
     rule = QuadRule(*SAMPLED_RULE)
     ext = rule.nodes(Domain.EXTERIOR_DISK)
-    for seed in range(3000, 3000 + min(seeds, 10)):
+    for seed in range(3000, 3010)[:seeds]:
         for modes in (1, 2, 4):
             mu = _sampled(rule, _harmonic_field(seed, modes, 0.3)(ext))
             yield f"{seed}/m{modes}", lambda mu=mu: _solved(solve_beltrami(mu, rule=rule))
 
 
+def _resolvent_record(data, pts, want, sup, **kwargs):
+    """The values of apply_resolvent on each of ``data`` at ``pts``, each
+    within RESOLVENT_BOUND * sup of ``want``."""
+    record = [f"within {RESOLVENT_BOUND:g}"]
+    for f in data:
+        vals = np.array([apply_resolvent(f, DiskPoint.disk(z), **kwargs) for z in pts])
+        err = float(np.max(np.abs(vals - want))) / sup
+        if not err <= RESOLVENT_BOUND:
+            raise BoundExceeded(f"error {err:.3e} of sup|f| against the oracle")
+        record.append(vals)
+    return record
+
+
+def _both_paths(f):
+    return f, GridFunction.from_callable(f, QuadRule(), Domain.UNIT_DISK)
+
+
+def resolvent(seeds):
+    table = mode_table(0)
+    idx = np.linspace(0, np.searchsorted(table.r, 0.9917) - 1, 8).astype(int)
+    angles = 0.3 + np.arange(idx.size)
+    pts = table.r[idx] * np.exp(1j * angles)
+
+    def product(i, j):
+        p, n = i - j, i + j - 4
+        prof = lambda r: (1.0 - r**2) ** 4 * r**n
+        f = lambda w: prof(np.abs(w)) * np.exp(1j * p * np.angle(w))
+        want = gfield_radial(table, p, prof)[idx] * np.exp(1j * p * angles)
+        t = n / (n + 8.0)   # the sup of prof is at r^2 = t
+        return lambda: _resolvent_record(_both_paths(f), pts, want,
+                                         (1.0 - t) ** 4 * t ** (0.5 * n))
+
+    for i, j in BASIS_PAIRS[:seeds]:
+        yield f"<{i}{j}>", product(i, j)
+    k = int(np.argmin(np.abs(table.r - 0.9917)))
+    prof = lambda s: (1.0 - np.square(s)) ** 4 + 0j
+    yield "F4", lambda: _resolvent_record([lambda w: prof(np.abs(w))], table.r[k:k + 1],
+                                          gfield_radial(table, 0, prof)[k], 1.0, tol=1e-6)
+    radii = 1.0 - np.geomspace(1.0, 4e-4, 16)
+    yield "G1", lambda: _resolvent_record(_both_paths(lambda w: np.ones_like(w.real)),
+                                          radii * np.exp(1j * (0.3 + np.arange(16))), 1.0, 1.0)
+
+
 FAMILIES = {f.__name__: f for f in (modelb_harmonic, modela_welding, radial_sampled,
-                                    nonradial_sampled)}
+                                    nonradial_sampled, resolvent)}
 
 
 def _feed(digest, item):
@@ -120,7 +180,7 @@ def _feed(digest, item):
         digest.update(repr(item).encode())
 
 
-def fingerprint(family: str, seeds: int = 40) -> dict:
+def fingerprint(family: str, seeds: int | None = None) -> dict:
     """{'outputs', 'decisions'} digests, the case count, the passes and
     the failures as (case, exception type, message) of one family."""
     outputs, decisions = hashlib.sha256(), hashlib.sha256()
@@ -144,7 +204,7 @@ def fingerprint(family: str, seeds: int = 40) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", type=int, default=40,
+    parser.add_argument("--seeds", type=int, default=None,
                         help="seeds per family (default: all)")
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="list every failure in full")
