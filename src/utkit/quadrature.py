@@ -326,16 +326,17 @@ def _apply_resolvent_grid(f: GridFunction, z: complex, domain: Domain) -> comple
         ends = np.insert(ends, 1, r)
     width = np.diff(ends)[:, None]
     cut = (ends[:-1, None] + width * table.xg).ravel()
-    measure = np.concatenate([table.weights * table.measure, (width * table.wg).ravel()
+    # weights times rho(s) s; the cut panel's nodes replace the panel's
+    weights = np.concatenate([table.weights * table.measure, (width * table.wg).ravel()
                               * 4.0 * cut / np.square((1.0 - cut) * (1.0 + cut))])
-    measure[panel * table.xg.size:(panel + 1) * table.xg.size] = 0.0
+    weights[panel * table.xg.size:(panel + 1) * table.xg.size] = 0.0
     # each kept mode's radial profile at the nodes, on (Re, Im) lanes
     lanes = np.ascontiguousarray(rings[:, keep]).view(float)
     profiles = np.concatenate([to_nodes @ lanes, _interpolation(cut, radii, lam) @ lanes])
     modes = np.fft.fftfreq(m, 1.0 / m).astype(int)[keep]
     s = np.concatenate([table.s, cut])
     ghat = np.array([mode_kernel(int(p), r, s) for p in modes]).reshape(-1, s.size)
-    sums = np.einsum("ks,sk->k", ghat * measure, profiles.view(complex))
+    sums = np.einsum("ks,sk->k", ghat * weights, profiles.view(complex))
     return complex(np.exp(1j * modes * np.angle(z)) @ sums)
 
 

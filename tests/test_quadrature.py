@@ -240,8 +240,8 @@ class TestResolvent:
         assert abs(val - ref) < 1e-8
 
     def test_near_the_circle_with_tolerance(self):
-        # F4 of the benchmark: at the table radius nearest 0.9917, where a
-        # Moebius-recentred radial rule was 79 % off and its tol check failed
+        # F4 of the benchmark: the table radius nearest 0.9917, near the
+        # circle, with the tol check on the doubled rule
         table = mode_table(0)
         k = int(np.argmin(np.abs(table.r - 0.9917)))
         prof = lambda s: (1.0 - np.square(s)) ** 4 + 0j

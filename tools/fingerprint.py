@@ -32,13 +32,13 @@ number of terms.  The families:
 * ``resolvent``: ``apply_resolvent`` on a callable and on its samples on
   ``QuadRule()``: the 64 basis products (1 - r^2)^4 r^(i+j-4) e^{i(i-j)theta},
   2 <= i, j <= 9, at 8 fixed table radii up to 0.9917 against
-  ``gfield_radial``; F4 of the benchmark, (1 - abs(w)^2)^4 at the table
-  radius nearest 0.9917 with tol 1e-6; and G 1 = 1 at 16 radii below the
-  table's outermost radius 1 - 3.5e-4
+  ``gfield_radial``; F4 of the benchmark, the callable (1 - abs(w)^2)^4 at
+  the table radius nearest 0.9917 with tol 1e-6; and G 1 = 1 at 16 radii
+  below the table's outermost radius 1 - 3.5e-4
 
 ``--seeds N`` keeps the first N seeds of each family and the first N basis
-products (all radial fields, F4 and G 1 always run).  Failure messages are grouped with their numbers blanked out;
-``-v`` lists each failure in full.
+products (all radial fields, F4 and G 1 always run).  Failure messages are
+grouped with their numbers blanked out; ``-v`` lists each failure in full.
 """
 
 from __future__ import annotations
