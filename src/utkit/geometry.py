@@ -213,33 +213,6 @@ class MoebiusMap:
         return cls(cmath.exp(0.5j * phi), 0.0)
 
     @classmethod
-    def sigma_center(cls, z0: complex, variant: str = "center") -> "MoebiusMap":
-        """Recentering maps.
-
-        variant "center" requires |z0| < 1 and returns w -> (w - z0)/(1 - conj(z0) w),
-        which carries z0 to 0.  variant "fiber" requires |w0| > 1 (or infinity)
-        and returns the map sending w0 -> infinity, 1 -> 1, 1/conj(w0) -> 0.
-        """
-        z0 = complex(z0)
-        if variant == "center":
-            if abs(z0) >= 1.0:
-                raise DomainMismatch("center variant needs an interior point")
-            s = math.sqrt(1.0 - abs(z0) ** 2)
-            return cls(1.0 / s, -z0 / s)
-        if variant == "fiber":
-            if is_infinity(z0):
-                return cls.identity()
-            if abs(z0) <= 1.0:
-                raise DomainMismatch("fiber variant needs an exterior point")
-            one_minus = 1.0 - z0
-            if one_minus == 0:
-                raise DomainMismatch("fiber variant is singular at w0 = 1")
-            e = one_minus / abs(one_minus)
-            s = 1.0 / math.sqrt(abs(z0) ** 2 - 1.0)
-            return cls(-e * z0.conjugate() * s, e * s)
-        raise ValueError(f"unknown sigma_center variant {variant!r}")
-
-    @classmethod
     def from_matrix(cls, m, tol: float = 1e-8) -> "MoebiusMap":
         """Project a GL(2, C) matrix onto (a, b) form.
 

@@ -10,9 +10,11 @@ Integrands singular at a point z (the Cauchy kernel, and kernels handed
 to ``integrate_double``) use one windowed rule: the node sum is weighted by
 a C^2 window that vanishes at z, and the complementary near-diagonal part
 is integrated by a local polar patch around z whose rays stop at the unit
-circle.  The rays are measured from the direction of z, so the patch rule
-commutes with rotations.  Grid data is sampled on the patch nodes by
-bilinear interpolation in (r, theta).  ``integrate_double`` and
+circle: 16 rays of 16 nodes each, one Gauss rule in tau with radius
+s = delta tau^3, which resolves the logarithmic singularity at z and the
+window's edge alike.  The rays are measured from the direction of z, so
+the patch rule commutes with rotations.  Grid data is sampled on the patch
+nodes by bilinear interpolation in (r, theta).  ``integrate_double`` and
 ``qc_solver.cauchy_transform`` use it.  ``integrate_double`` uses the
 rotation symmetry of the rule: the window and the patch are built once per
 ring of outer nodes and rotated along the ring.
@@ -63,19 +65,6 @@ def gauss_radial(n: int):
     r, w = 0.5 * (x + 1.0), 0.25 * w
     r.flags.writeable = w.flags.writeable = False
     return r, w
-
-
-def graded_panels(levels: int, ratio: float, order: int):
-    """Composite Gauss rule on [0, 1] with panels [ratio^(j+1), ratio^j],
-    j < levels, accumulating geometrically toward 0.
-
-    Handles integrable singularities at 0 (logs, mild powers): each panel
-    sees an analytic integrand, and panel widths shrink like ratio^level.
-    """
-    xg, wg = gauss_legendre_01(order)
-    hi = ratio ** np.arange(levels)[:, None]
-    width = hi - ratio * hi
-    return (ratio * hi + width * xg).ravel(), (width * wg).ravel()
 
 
 @dataclass(frozen=True)
@@ -381,9 +370,10 @@ def _smoothstep(s):
     return s * s * s * (10.0 + s * (-15.0 + 6.0 * s))
 
 
-# near-diagonal patch: radial panels in units of the ray length, graded
-# into the center where the kernels are singular, on 16 rays
-_PATCH_T, _PATCH_WT = graded_panels(levels=10, ratio=0.25, order=4)
+# near-diagonal patch: 16 rays, each with one 16-node Gauss rule in tau at
+# s = tau^3 in units of the ray length (see _local_polar_rule)
+_PATCH_T, _PATCH_WT = gauss_legendre_01(16)
+_PATCH_T, _PATCH_WT = _PATCH_T ** 3, 3.0 * _PATCH_T ** 2 * _PATCH_WT
 _PATCH_DIRS = np.exp(1j * TWO_PI * np.arange(16) / 16)
 
 
@@ -398,8 +388,11 @@ def _local_polar_rule(z, delta: float):
     with the same weights.  The weights are the area element s ds dphi
     times the complementary window 1 - eta(s / delta): the patch sum plus
     the node sum windowed by eta(|w - z| / delta) is the integral over the
-    disk.  The radial rule is graded into s = 0, which absorbs the
-    logarithmic and 1/s diagonal singularities of the kernels.  Rays that
+    disk.  Each ray carries 16 nodes, one Gauss-Legendre rule in tau with
+    s = lo + length tau^3: the cube turns the logarithmic and 1/s diagonal
+    singularities of the kernels, times the area element s ds, into
+    tau^5 log(tau) and tau^2, and the window into a polynomial in tau, so
+    one rule resolves the centre and the window's edge alike.  Rays that
     miss the disk get zero weight.  A scalar z gives (radial, ray) arrays;
     an array of centers becomes their leading axes.
     """
@@ -461,15 +454,18 @@ def integrate_double(kernel, rule: QuadRule, domain: Domain = Domain.UNIT_DISK,
     Outer nodes are taken one ring at a time, in blocks of at most 2^15
     kernel entries that stay inside the ring: each block calls the kernel
     once on (outer nodes) x (all nodes) and once on (outer nodes) x (their
-    patch nodes).  A rotation by one angular step maps the rule's nodes
-    onto nodes, and the window, the node weights, the density and the
-    patch rule all commute with it, so each call builds two tables per
-    ring r_i and shares them along the ring: the window row, weight x
-    density x eta(|w - r_i| / delta), which node j reads shifted by j
-    inside each ring, and the patch at r_i with its weights x density,
-    whose nodes node j rotates by e^{i theta_j}.  This is the generic
-    O(n^2) reference path; the mode-reduced engine is the fast route for
-    rotation-symmetric kernels.
+    256 patch nodes).  The kernel's output is never written into: the
+    windowed block is its product with the window, taken into a fresh
+    array, and non-finite values are rejected only after the product and
+    the diagonal cut, so a kernel may be non-finite on the diagonal.  A
+    rotation by one angular step maps the rule's nodes onto nodes, and the
+    window, the node weights, the density and the patch rule all commute
+    with it, so each call builds two tables per ring r_i and shares them
+    along the ring: the window row, weight x density x eta(|w - r_i| /
+    delta), which node j reads shifted by j inside each ring, and the patch
+    at r_i with its weights x density, whose nodes node j rotates by
+    e^{i theta_j}.  This is the generic O(n^2) reference path; the
+    mode-reduced engine is the fast route for rotation-symmetric kernels.
     """
     _check_measure(measure)
     _require_decay_certificate(measure, certified_decay)
@@ -508,19 +504,19 @@ def integrate_double(kernel, rule: QuadRule, domain: Domain = Domain.UNIT_DISK,
             stop = min(start + rows, m)
             j = np.arange(start, stop)
             z = nodes[i, start:stop]
-            # a copy: the kernel's own array is never written into
-            kv = np.empty((j.size, n), dtype=complex)
-            kv[...] = kernel(z[:, None], flat_pts[None, :])
-            # diagonal cells replaced by the local patch rule
-            kv[j - start, i * m + j] = 0.0
-            check_finite(kv, "double-integral kernel block")
-            rings = kv.reshape(j.size, nr, m)
-            rings *= shifted[m - start:m - stop:-1]
-            inner = tree_sum(kv)
+            kv = np.broadcast_to(kernel(z[:, None], flat_pts[None, :]), (j.size, n))
+            # the windowed block goes into a fresh array, so the kernel's
+            # own is never written into; the window is 0 on the diagonal,
+            # where a kernel may be non-finite, and those cells are then
+            # replaced by the local patch rule
+            block = np.empty((j.size, nr, m), dtype=complex)
+            with np.errstate(invalid="ignore"):
+                np.multiply(kv.reshape(block.shape), shifted[m - start:m - stop:-1], out=block)
+            block[j - start, i, j] = 0.0
+            check_finite(block, "double-integral kernel block")
+            inner = tree_sum(block.reshape(j.size, n))
             pk = kernel(z[:, None, None], turns[j, None, None] * pw)
-            pk = np.broadcast_to(np.asarray(pk, dtype=complex), (j.size,) + pw.shape)
-            check_finite(pk, "double-integral patch block")
-            patch = pweights * pk
-            check_finite(patch, "integrand sample")
+            patch = pweights * np.broadcast_to(pk, (j.size,) + pw.shape)
+            check_finite(patch, "double-integral patch block")
             totals[i, start:stop] = inner + tree_sum(patch.reshape(j.size, -1))
     return pairwise_dot(flat_w, totals.ravel())

@@ -532,6 +532,31 @@ class TestNearDiagonalPatch:
         exact = pair_profiles(mode_table(4), 3, prof, prof)
         assert abs(val - exact) / abs(exact) < 2e-3
 
+    @pytest.mark.parametrize("p", range(4))
+    def test_double_integral_matches_the_mode_engine_at_each_offset(self, p):
+        # the two paths of the curvature pairings on mu_9 conj(mu_(9-p)),
+        # the highest degree of each offset the benchmark draws
+        prof = basis_product(9, 9 - p)
+        val = integrate_double(self.pairing_kernel(prof, p), QuadRule(24, 48))
+        exact = pair_profiles(mode_table(4), p, prof, prof)
+        assert abs(val - exact) / abs(exact) < 2e-3
+
+    @pytest.mark.parametrize("z", [0.0, 0.5 * np.exp(0.3j)])
+    def test_patch_rule_integrates_the_log_singularity(self, z):
+        # a patch inside the disk: the log and the area of its windowed
+        # disk, 2 pi int_0^delta s (log s, 1) (1 - eta(s / delta)) ds;
+        # the area is 2 pi delta^2 / 7
+        mpmath = pytest.importorskip("mpmath")
+        delta = QuadRule(24, 48).patch_radius
+        pw, weights = _local_polar_rule(z, delta)
+        with mpmath.workdps(30):
+            d = mpmath.mpf(delta)
+            window = lambda s: 1 - s**3 * (10 - s * (15 - 6 * s))
+            ref = float(2 * mpmath.pi * mpmath.quad(
+                lambda s: s * mpmath.log(s) * window(s / d), [0, d]))
+        assert abs(np.sum(weights * np.log(np.abs(pw - z))) - ref) <= 1e-11 * abs(ref)
+        assert abs(np.sum(weights) - 2 * np.pi * delta**2 / 7) <= 1e-14 * delta**2
+
     def test_double_integral_exterior_pullback(self):
         # G is inversion invariant, so the mirrored pairing is the disk's
         prof = lambda r: (1 - r**2) ** 2
