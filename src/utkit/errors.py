@@ -3,7 +3,7 @@
 Every error raised deliberately by this library derives from UtkitError so
 callers can catch the whole family with one clause.  The subclasses mirror
 the failure modes of the numerical pipeline: domain/geometry misuse,
-quadrature breakdown, series truncation, solver divergence, and I/O.
+quadrature breakdown, series truncation and solver divergence.
 """
 
 
@@ -58,7 +58,3 @@ class FitFailure(UtkitError):
 
 class DegenerateSection(UtkitError):
     """Tangent plane arguments are linearly dependent."""
-
-
-class IoFailure(UtkitError):
-    """Reading or writing an external file failed."""

@@ -3,8 +3,8 @@
 The unit circle splits the sphere into the unit disk and its exterior; both
 carry the complete hyperbolic metric of curvature -1/2 normalization used
 throughout this package, with density 4/(1-|z|^2)^2.  The exterior domain
-includes the point at infinity, which is represented by a non-finite
-complex value.
+includes the point at infinity, which is represented by a complex value
+with an infinite part; NaN is no point at all and raises ``NonFiniteValue``.
 
 Key objects:
 
@@ -26,7 +26,13 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BoundaryPoint, CriticalPoint, DiagonalSingularity, DomainMismatch
+from .errors import (
+    BoundaryPoint,
+    CriticalPoint,
+    DiagonalSingularity,
+    DomainMismatch,
+    NonFiniteValue,
+)
 
 INF = complex(math.inf, 0.0)
 
@@ -38,8 +44,10 @@ class Domain(Enum):
     EXTERIOR_DISK = "ExteriorDisk"
 
 
-def is_infinity(z: complex) -> bool:
-    return not (math.isfinite(z.real) and math.isfinite(z.imag))
+def _check_not_nan(z: complex) -> complex:
+    if cmath.isnan(z):
+        raise NonFiniteValue(f"{z} is not a point of the sphere")
+    return z
 
 
 @dataclass(frozen=True)
@@ -58,9 +66,9 @@ class DiskPoint:
     def __post_init__(self):
         if not isinstance(self.domain, Domain):
             raise DomainMismatch(f"{self.domain!r} is not a Domain")
-        z = complex(self.value)
+        z = _check_not_nan(complex(self.value))
         object.__setattr__(self, "value", z)
-        if is_infinity(z):
+        if cmath.isinf(z):
             if self.domain is not Domain.EXTERIOR_DISK:
                 raise DomainMismatch("infinity belongs to the exterior domain only")
             return
@@ -86,7 +94,7 @@ class DiskPoint:
 
     @property
     def is_infinity(self) -> bool:
-        return is_infinity(self.value)
+        return cmath.isinf(self.value)
 
 
 def hyperbolic_density(p: DiskPoint) -> float:
@@ -237,11 +245,11 @@ class MoebiusMap:
     @staticmethod
     def _to_zero_one_inf(z1, z2, z3):
         # matrix of the map sending (z1, z2, z3) to (0, 1, infinity)
-        if is_infinity(z1):
+        if cmath.isinf(z1):
             return np.array([[0.0, z2 - z3], [1.0, -z3]], dtype=complex)
-        if is_infinity(z2):
+        if cmath.isinf(z2):
             return np.array([[1.0, -z1], [1.0, -z3]], dtype=complex)
-        if is_infinity(z3):
+        if cmath.isinf(z3):
             return np.array([[1.0, -z1], [0.0, z2 - z1]], dtype=complex)
         return np.array(
             [[z2 - z3, -z1 * (z2 - z3)], [z2 - z1, -z3 * (z2 - z1)]], dtype=complex
@@ -254,8 +262,8 @@ class MoebiusMap:
         Both triples may contain infinity.  The result must preserve the unit
         circle, which holds whenever both triples lie on it.
         """
-        ms = cls._to_zero_one_inf(*[complex(z) for z in sources])
-        mt = cls._to_zero_one_inf(*[complex(z) for z in targets])
+        ms = cls._to_zero_one_inf(*[_check_not_nan(complex(z)) for z in sources])
+        mt = cls._to_zero_one_inf(*[_check_not_nan(complex(z)) for z in targets])
         inv_t = np.array(
             [[mt[1, 1], -mt[0, 1]], [-mt[1, 0], mt[0, 0]]], dtype=complex
         )
@@ -278,23 +286,23 @@ class MoebiusMap:
         """Evaluate at a complex number, ndarray, or DiskPoint.
 
         Infinity maps to a/conj(b); the pole -conj(a)/conj(b) maps to
-        infinity.  Arrays are handled entrywise.
+        infinity; NaN raises ``NonFiniteValue``.  Arrays are handled entrywise.
         """
         if isinstance(z, DiskPoint):
             return DiskPoint(self.apply(z.value), z.domain)
         if isinstance(z, np.ndarray):
-            num = self.a * z + self.b
+            if np.isnan(z).any():
+                raise NonFiniteValue("NaN is not a point of the sphere")
+            inf = np.isinf(z)
+            if inf.any():
+                # a finite stand-in keeps inf * 0 out of a z + b
+                return np.where(inf, self.apply(INF), self.apply(np.where(inf, 0.0, z)))
             den = np.conj(self.b) * z + np.conj(self.a)
-            bad = ~np.isfinite(z)
-            if np.any(bad):
-                num = np.where(bad, self.a if self.b != 0 else np.inf, num)
-                den = np.where(bad, np.conj(self.b) if self.b != 0 else 1.0, den)
             with np.errstate(divide="ignore", invalid="ignore"):
-                out = num / den
-            out = np.where(den == 0, INF, out)
-            return out
-        z = complex(z)
-        if is_infinity(z):
+                out = (self.a * z + self.b) / den
+            return np.where(den == 0, INF, out)
+        z = _check_not_nan(complex(z))
+        if cmath.isinf(z):
             if self.b == 0:
                 return INF
             return self.a / self.b.conjugate()
@@ -314,7 +322,7 @@ class MoebiusMap:
             den = np.conj(self.b) * z + np.conj(self.a)
             return 1.0 / np.square(den)
         z = complex(z)
-        if is_infinity(z):
+        if cmath.isinf(z):
             if self.b == 0:
                 return 1.0 / self.a.conjugate() ** 2
             return 0.0

@@ -501,27 +501,6 @@ class QCMap:
             return complex(wz), complex(wzb)
         return wz, wzb
 
-    def invert(self, target, *, tol=1e-12, max_iter=50) -> complex:
-        """Newton preimage of a target value, seeded from the nearest
-        grid sample."""
-        target = complex(target)
-        cands = []
-        for gf in self.grid:
-            idx = np.argmin(np.abs(gf.values - target))
-            cands.append((abs(gf.values.ravel()[idx] - target),
-                          complex(gf.nodes().ravel()[idx])))
-        z = min(cands)[1]
-        for _ in range(max_iter):
-            err = self.evaluate(z) - target
-            if abs(err) < tol:
-                return complex(z)
-            wz, wzb = self.derivatives(z)
-            jac = abs(wz) ** 2 - abs(wzb) ** 2
-            if jac <= 0:
-                break
-            z = z - (np.conj(wz) * err - wzb * np.conj(err)) / jac
-        raise NoConvergence("Newton inversion stalled")
-
 
 def _interior_jets(qc: QCMap) -> dict:
     """Numerical jets of w at 0 read off a small circle, independently
@@ -689,12 +668,12 @@ def schwarzian(f, z):
     Coefficient inputs are differentiated exactly; grid inputs are read
     off spectrally first.  Raises CriticalPoint where |f'| < 1e-12.
     """
-    if isinstance(f, GridFunction):
-        f = HoloCoeffs(Domain.UNIT_DISK, _taylor_from_grid(f))
-    if not isinstance(f, HoloCoeffs):
+    if not isinstance(f, (HoloCoeffs, GridFunction)):
         raise TypeError("schwarzian takes HoloCoeffs or a sampled grid")
     if f.domain is not Domain.UNIT_DISK:
         raise DomainMismatch("schwarzian expansion lives on the disk")
+    if isinstance(f, GridFunction):
+        f = HoloCoeffs(Domain.UNIT_DISK, _taylor_from_grid(f))
     c = np.asarray(f.coeffs, dtype=complex)
     d1, d2, d3 = _polyder(c), _polyder(c, 2), _polyder(c, 3)
     z = np.asarray(z, dtype=complex)

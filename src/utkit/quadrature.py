@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._util import check_finite, gauss_legendre_01, pairwise_dot, tree_sum
-from .errors import DomainMismatch, IoFailure, QuadratureFailure
+from .errors import DomainMismatch, QuadratureFailure
 from .geometry import DiskPoint, Domain
 from .modes import mode_kernel, mode_table
 
@@ -156,38 +156,6 @@ class GridFunction:
 
     def nodes(self):
         return self.rule.nodes(self.domain)
-
-    def to_csv(self, path: str):
-        z = self.nodes().ravel()
-        v = self.values.ravel()
-        try:
-            with open(path, "w") as fh:
-                fh.write("re,im,value_re,value_im\n")
-                for zz, vv in zip(z, v):
-                    fh.write(f"{float(zz.real)!r},{float(zz.imag)!r},"
-                             f"{float(vv.real)!r},{float(vv.imag)!r}\n")
-        except OSError as exc:
-            raise IoFailure(str(exc)) from exc
-
-    @classmethod
-    def from_csv(cls, path: str, rule: QuadRule, domain: Domain) -> "GridFunction":
-        try:
-            raw = np.loadtxt(path, delimiter=",", skiprows=1)
-        except OSError as exc:
-            raise IoFailure(str(exc)) from exc
-        except ValueError as exc:
-            raise IoFailure(f"malformed grid csv: {exc}") from exc
-        if raw.ndim == 1:
-            raw = raw[None, :]
-        if raw.shape[1] != 4:
-            raise IoFailure("grid csv must have four columns")
-        shape = (rule.radial_nodes, rule.angular_count)
-        if raw.shape[0] != shape[0] * shape[1]:
-            raise IoFailure("grid csv row count does not match the rule")
-        z = (raw[:, 0] + 1j * raw[:, 1]).reshape(shape)
-        if np.max(np.abs(z - rule.nodes(domain))) > 1e-12:
-            raise IoFailure("grid csv nodes do not match the rule")
-        return cls(rule, domain, (raw[:, 2] + 1j * raw[:, 3]).reshape(shape))
 
 
 def _evaluate(f, z):

@@ -21,7 +21,6 @@ fields and for cross-checks.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -29,9 +28,9 @@ from functools import lru_cache
 import numpy as np
 
 from ._util import check_finite
-from .errors import DomainMismatch, IndexOutOfRange, IoFailure, QuadratureFailure
+from .errors import DomainMismatch, IndexOutOfRange, QuadratureFailure
 from .geometry import Domain
-from .quadrature import GridFunction, QuadRule, integrate_disk, integrate_exterior
+from .quadrature import GridFunction, QuadRule
 
 _SUP_RULE = QuadRule(64, 128)
 
@@ -50,33 +49,6 @@ def _as_coeff_array(values) -> np.ndarray:
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("coefficients must form a nonempty vector")
     return arr
-
-
-def _coeffs_to_json(domain: Domain, coeffs: np.ndarray, truncation: int) -> str:
-    return json.dumps({
-        "domain": domain.value,
-        "truncation": truncation,
-        "re": [float(v) for v in coeffs.real],
-        "im": [float(v) for v in coeffs.imag],
-    })
-
-
-def _coeffs_from_json(text: str, *, size_offset: int):
-    """(domain, coefficients) of a blob whose truncation is the vector
-    size minus ``size_offset``."""
-    try:
-        blob = json.loads(text)
-        domain = Domain(blob["domain"])
-        re = np.asarray(blob["re"], dtype=float)
-        im = np.asarray(blob["im"], dtype=float)
-        truncation = int(blob["truncation"])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise IoFailure(f"malformed coefficient blob: {exc}") from exc
-    if re.shape != im.shape or re.ndim != 1:
-        raise IoFailure("coefficient blob arrays disagree")
-    if truncation != re.size - size_offset:
-        raise IoFailure("coefficient blob truncation mismatch")
-    return domain, re + 1j * im
 
 
 @dataclass(frozen=True)
@@ -139,23 +111,6 @@ class HoloCoeffs:
 
     def l2_norm(self) -> float:
         return math.sqrt(self.l2_norm_sq())
-
-    def to_json(self) -> str:
-        return _coeffs_to_json(self.domain, self.coeffs, self.truncation)
-
-    @classmethod
-    def from_json(cls, text: str) -> "HoloCoeffs":
-        return cls(*_coeffs_from_json(text, size_offset=1))
-
-
-def holo_quadratic_l2_quadrature(phi: HoloCoeffs, rule: QuadRule | None = None) -> float:
-    """Quadrature value of the weighted L^2 norm squared, for cross-checks."""
-    rule = rule or QuadRule()
-    weight = lambda z: np.abs(phi(z)) ** 2 * np.square(1.0 - np.abs(z) ** 2) / 4.0
-    if phi.domain is Domain.UNIT_DISK:
-        return float(integrate_disk(weight, rule).real)
-    f = lambda z: np.abs(phi(z)) ** 2 * np.square(np.abs(z) ** 2 - 1.0) / 4.0
-    return float(integrate_exterior(f, rule).real)
 
 
 # ---------------------------------------------------------------------------
@@ -282,16 +237,6 @@ class BeltramiField:
                 self.grid.rule, self.domain, factor * self.grid.values))
         return BeltramiField.harmonic(self.domain, factor * self.a)
 
-    def to_json(self) -> str:
-        if not self.is_harmonic:
-            raise DomainMismatch("only harmonic fields serialize to coefficients")
-        return _coeffs_to_json(self.domain, self.a, self.truncation)
-
-    @classmethod
-    def from_json(cls, text: str) -> "BeltramiField":
-        return cls.harmonic(*_coeffs_from_json(text, size_offset=0))
-
-
 def basis_mu(n: int, count: int) -> BeltramiField:
     """Orthonormal harmonic basis element on the exterior disk.
 
@@ -373,83 +318,3 @@ def d0_beta(mu: BeltramiField, truncation: int | None = None, *,
         raise QuadratureFailure(f"moment {bad[0]} did not converge: {gap[bad[0]]:.3e}")
     # -(6 / pi) binomial(k + 3, 3) M_k
     return HoloCoeffs(Domain.UNIT_DISK, -(k + 1.0) * (k + 2) * (k + 3) / math.pi * moments[-1])
-
-
-def project_P(mu: BeltramiField, count: int, *,
-              rule: QuadRule | None = None) -> BeltramiField:
-    """Orthogonal projection onto harmonic fields, as the composition of the
-    origin differential with the weight map."""
-    phi = d0_beta(mu, truncation=count - 1, rule=rule)
-    return lambda_map(phi)
-
-
-# ---------------------------------------------------------------------------
-# boundary vector fields
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FourierVectorField:
-    """Truncated Fourier coefficients of a circle vector field u(theta).
-
-    ``coeffs`` has length 2 N + 1, index n + N for mode n; the zero mode is
-    unused and must vanish.  With ``real=True`` the conjugate symmetry
-    c_(-n) = conj(c_n) is enforced at construction to 1e-14.
-    """
-
-    coeffs: np.ndarray
-    real: bool = True
-
-    def __post_init__(self):
-        arr = _as_coeff_array(self.coeffs)
-        if arr.size % 2 == 0:
-            raise ValueError("coefficient vector must have odd length 2N+1")
-        object.__setattr__(self, "coeffs", arr)
-        if abs(arr[arr.size // 2]) != 0.0:
-            raise ValueError("the zero mode of a vector field must vanish")
-        if self.real:
-            flipped = np.conj(arr[::-1])
-            if np.max(np.abs(arr - flipped)) > 1e-14:
-                raise ValueError("reality requires c_(-n) = conj(c_n)")
-
-    @property
-    def n_max(self) -> int:
-        return self.coeffs.size // 2
-
-    def mode(self, n: int) -> complex:
-        if abs(n) > self.n_max:
-            raise IndexOutOfRange(f"mode {n} beyond truncation {self.n_max}")
-        return complex(self.coeffs[n + self.n_max])
-
-    def __call__(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        n = np.arange(-self.n_max, self.n_max + 1)
-        return np.sum(self.coeffs * np.exp(1j * np.outer(theta, n)), axis=-1)
-
-    @classmethod
-    def from_modes(cls, modes: dict, n_max: int, real: bool = True):
-        arr = np.zeros(2 * n_max + 1, dtype=complex)
-        for n, c in modes.items():
-            if n == 0 or abs(n) > n_max:
-                raise IndexOutOfRange(f"mode {n} not storable at truncation {n_max}")
-            arr[n + n_max] = c
-            if real:
-                arr[-n + n_max] = np.conj(c)
-        return cls(arr, real)
-
-
-def u_to_holo(u: FourierVectorField) -> HoloCoeffs:
-    """Positive-frequency part as a disk vector field: i sum c_n z^(n+1)."""
-    out = np.zeros(u.n_max + 2, dtype=complex)
-    for n in range(1, u.n_max + 1):
-        out[n + 1] = 1j * u.mode(n)
-    return HoloCoeffs(Domain.UNIT_DISK, out)
-
-
-def u_to_quadratic(u: FourierVectorField) -> HoloCoeffs:
-    """Third derivative of the positive-frequency part, a quadratic density:
-    i sum (n^3 - n) c_n z^(n-2)."""
-    size = max(u.n_max - 1, 1)
-    out = np.zeros(size, dtype=complex)
-    for n in range(2, u.n_max + 1):
-        out[n - 2] = 1j * (n**3 - n) * u.mode(n)
-    return HoloCoeffs(Domain.UNIT_DISK, out)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from utkit.errors import (
     BoundaryPoint,
     DiagonalSingularity,
     DomainMismatch,
+    NonFiniteValue,
 )
 from utkit.geometry import (
     INF,
@@ -66,6 +68,13 @@ class TestDensity:
         p = DiskPoint.infinity()
         assert p.is_infinity
         assert hyperbolic_density(p) == 0.0
+        assert DiskPoint.exterior(complex(0.0, math.inf)).is_infinity
+
+    @pytest.mark.parametrize("make", [DiskPoint.disk, DiskPoint.exterior])
+    def test_nan_is_no_point(self, make):
+        # NaN is not the point at infinity, and not outside the disk either
+        with pytest.raises(NonFiniteValue):
+            make(complex(math.nan, 0.0))
 
     def test_moebius_invariance(self):
         zs = random_disk_points(50)
@@ -244,6 +253,28 @@ class TestMoebius:
         # rotations fix infinity
         rot = MoebiusMap.rotation(0.7)
         assert not np.isfinite(abs(rot.apply(INF)))
+
+    def test_array_with_infinity_matches_scalar_path(self):
+        # real coefficients put the pole's denominator at 0 on both paths;
+        # numpy's complex product can leave it at 1e-17 where Python's is 0
+        for m in (MoebiusMap(1.25, 0.75), MoebiusMap.rotation(0.7)):
+            pole = -np.conj(m.a) / np.conj(m.b) if m.b != 0 else 0.5j
+            zs = np.array([INF, pole, 0.3 - 0.2j])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = m.apply(zs)
+            for z, w in zip(zs, got):
+                assert w == pytest.approx(m.apply(complex(z)), rel=1e-15)
+
+    def test_nan_raises(self):
+        m = MoebiusMap(1.2, 0.3 + 0.1j)
+        nan = complex(math.nan, 0.0)
+        with pytest.raises(NonFiniteValue):
+            m.apply(nan)
+        with pytest.raises(NonFiniteValue):
+            m.apply(np.array([0.2, nan]))
+        with pytest.raises(NonFiniteValue):
+            MoebiusMap.through_points([nan, 1.0, -1.0], [INF, 1.0, -1.0])
 
     def test_through_points(self):
         ps = [np.exp(1j * t) for t in (2.9, -1.2, 0.4)]

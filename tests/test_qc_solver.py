@@ -327,12 +327,6 @@ class TestSolveBeltrami:
         qc = solve_beltrami(mu, "ModelA", 1e-8, rule=rule)
         assert abs(qc.evaluate(0.0)) > 0.1
 
-    def test_invert_round_trip(self):
-        qc = solve_beltrami(harmonic([0.1 * A2_UNIT]), "ModelB", 1e-9,
-                            rule=QuadRule(24, 48))
-        for z0 in (1.4 + 0.3j, 0.5 - 0.2j, -2.0 + 1.0j):
-            assert qc.invert(qc.evaluate(z0)) == pytest.approx(z0, abs=1e-10)
-
     @pytest.mark.parametrize("normalization,z0", [
         ("ModelB", 1.7 - 0.6j),
         ("ModelB", 0.45 + 0.25j),
@@ -463,6 +457,13 @@ class TestSchwarzian:
     def test_input_type_checked(self):
         with pytest.raises(TypeError):
             schwarzian(lambda z: z, 0.1)
+
+    def test_exterior_grid_rejected(self):
+        # the grid's side is checked before it is read off as a Taylor series
+        gf = GridFunction.from_callable(lambda z: z + 0.1 * z**2, QuadRule(24, 48),
+                                        Domain.EXTERIOR_DISK)
+        with pytest.raises(DomainMismatch):
+            schwarzian(gf, 0.2 + 0.1j)
 
 
 class TestBersEmbedding:

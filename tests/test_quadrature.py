@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from utkit._util import check_finite, pairwise_dot, tree_sum
-from utkit.errors import DomainMismatch, IoFailure, NonFiniteValue, QuadratureFailure
+from utkit.errors import DomainMismatch, NonFiniteValue, QuadratureFailure
 from utkit.geometry import DiskPoint, Domain, kernel_value, kernel_value_array
 from utkit.modes import ModeTable, gfield_radial, mode_kernel, mode_table, pair_profiles
 from utkit.qc_solver import cauchy_transform
@@ -147,35 +147,6 @@ class TestScalarResults:
 
 
 class TestGridFunction:
-    def test_csv_round_trip_bit_exact(self, tmp_path):
-        rule = QuadRule(radial_nodes=6, angular_count=8)
-        gf = GridFunction.from_callable(lambda z: np.exp(z) / 3, rule,
-                                        Domain.UNIT_DISK)
-        path = tmp_path / "grid.csv"
-        gf.to_csv(str(path))
-        assert path.read_text().splitlines()[0] == "re,im,value_re,value_im"
-        back = GridFunction.from_csv(str(path), rule, Domain.UNIT_DISK)
-        assert np.array_equal(back.values, gf.values)
-
-    def test_csv_malformed(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("re,im,value_re,value_im\n1.0,2.0\n")
-        with pytest.raises(IoFailure):
-            GridFunction.from_csv(str(path), QuadRule(6, 8), Domain.UNIT_DISK)
-
-    def test_csv_node_mismatch(self, tmp_path):
-        rule = QuadRule(radial_nodes=6, angular_count=8)
-        gf = GridFunction.from_callable(ones, rule, Domain.UNIT_DISK)
-        path = tmp_path / "grid.csv"
-        gf.to_csv(str(path))
-        with pytest.raises(IoFailure):
-            GridFunction.from_csv(str(path), rule, Domain.EXTERIOR_DISK)
-
-    def test_missing_file(self):
-        with pytest.raises(IoFailure):
-            GridFunction.from_csv("/nonexistent/grid.csv", QuadRule(6, 8),
-                                  Domain.UNIT_DISK)
-
     def test_shape_validation(self):
         with pytest.raises(DomainMismatch):
             GridFunction(QuadRule(6, 8), Domain.UNIT_DISK, np.zeros((3, 8)))

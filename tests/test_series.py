@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -9,22 +8,17 @@ from utkit import (
     BeltramiField,
     Domain,
     DomainMismatch,
-    FourierVectorField,
     GridFunction,
     HoloCoeffs,
     IndexOutOfRange,
-    IoFailure,
     NonFiniteValue,
     QuadRule,
     basis_mu,
     d0_beta,
     harmonic_inner,
-    holo_quadratic_l2_quadrature,
+    integrate_disk,
     integrate_exterior,
     lambda_map,
-    project_P,
-    u_to_holo,
-    u_to_quadratic,
 )
 
 RNG = np.random.default_rng(np.random.PCG64(20240817))
@@ -76,32 +70,16 @@ class TestHoloCoeffs:
         with pytest.raises(DomainMismatch):
             HoloCoeffs("UpperHalfPlane", [1.0])
 
-    def test_json_round_trip_bit_exact(self):
-        phi = random_holo(9, Domain.EXTERIOR_DISK)
-        back = HoloCoeffs.from_json(phi.to_json())
-        assert back.domain is phi.domain
-        assert np.array_equal(back.coeffs, phi.coeffs)
-
-    def test_json_blob_fields(self):
-        blob = json.loads(HoloCoeffs(Domain.UNIT_DISK, [1.0, 2.5j]).to_json())
-        assert set(blob) == {"domain", "truncation", "re", "im"}
-        assert blob["domain"] == "UnitDisk"
-        assert blob["truncation"] == 1
-
-    def test_json_rejects_mismatched_truncation(self):
-        blob = json.loads(random_holo(3).to_json())
-        blob["truncation"] = 7
-        with pytest.raises(IoFailure):
-            HoloCoeffs.from_json(json.dumps(blob))
-
     def test_l2_norm_matches_quadrature_disk(self):
         phi = random_holo(6)
-        quad = holo_quadratic_l2_quadrature(phi)
+        quad = integrate_disk(
+            lambda z: np.abs(phi(z)) ** 2 * np.square(1.0 - np.abs(z) ** 2) / 4.0).real
         assert abs(quad - phi.l2_norm_sq()) < 1e-8 * (1 + phi.l2_norm_sq())
 
     def test_l2_norm_matches_quadrature_exterior(self):
         phi = random_holo(6, Domain.EXTERIOR_DISK)
-        quad = holo_quadratic_l2_quadrature(phi)
+        quad = integrate_exterior(
+            lambda z: np.abs(phi(z)) ** 2 * np.square(np.abs(z) ** 2 - 1.0) / 4.0).real
         assert abs(quad - phi.l2_norm_sq()) < 1e-8 * (1 + phi.l2_norm_sq())
 
     def test_sup_of_constant_is_at_center(self):
@@ -227,12 +205,6 @@ class TestBeltramiField:
         assert samp.sup_norm() <= mu.sup_norm() + 1e-12
         assert samp.sup_norm() > 0.9 * mu.sup_norm()
 
-    def test_json_round_trip(self):
-        mu = random_field(6)
-        back = BeltramiField.from_json(mu.to_json())
-        assert back.domain is mu.domain
-        assert np.array_equal(back.a, mu.a)
-
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             BeltramiField(Domain.EXTERIOR_DISK)
@@ -325,68 +297,6 @@ class TestTransforms:
     def test_d0_beta_domain_check(self):
         with pytest.raises(DomainMismatch):
             d0_beta(basis_mu(2, 3).reflect())
-
-    def test_projection_fixes_basis(self):
-        mu2 = basis_mu(2, 6)
-        p = project_P(mu2, 6)
-        assert np.max(np.abs(p.a - mu2.a)) < 1e-8
-
-    def test_projection_idempotent(self):
-        mu = random_field(6)
-        once = project_P(mu, 6)
-        twice = project_P(once, 6)
-        assert np.max(np.abs(once.a - twice.a)) < 1e-8
-
-    def test_projection_on_sampled_field(self):
-        mu = random_field(4)
-        samp = BeltramiField.sampled(GridFunction.from_callable(
-            mu, QuadRule(32, 64), Domain.EXTERIOR_DISK))
-        p = project_P(samp, 4)
-        assert np.allclose(p.a, mu.a, rtol=1e-9, atol=1e-11)
-
-    def test_projection_self_adjoint(self):
-        mu, nu = random_field(8), random_field(8)
-        left = harmonic_inner(project_P(mu, 4), nu)
-        right = harmonic_inner(mu, project_P(nu, 4))
-        assert abs(left - right) < 1e-8 * (1 + abs(left))
-
-
-class TestFourierVectorField:
-    def test_reality_enforced(self):
-        arr = np.zeros(5, dtype=complex)
-        arr[3] = 1.0 + 1.0j       # mode +1 without its mirror
-        with pytest.raises(ValueError):
-            FourierVectorField(arr)
-
-    def test_zero_mode_must_vanish(self):
-        arr = np.zeros(5, dtype=complex)
-        arr[2] = 1.0
-        with pytest.raises(ValueError):
-            FourierVectorField(arr, real=False)
-
-    def test_from_modes_fills_mirror(self):
-        u = FourierVectorField.from_modes({2: 0.5 + 0.25j}, 3)
-        assert u.mode(-2) == pytest.approx(0.5 - 0.25j)
-        theta = np.linspace(0, 2 * math.pi, 7)
-        assert np.max(np.abs(u(theta).imag)) < 1e-14
-
-    def test_mode_bound(self):
-        u = FourierVectorField.from_modes({1: 1.0}, 2)
-        with pytest.raises(IndexOutOfRange):
-            u.mode(5)
-
-    def test_rotation_mode_maps_to_iz2(self):
-        u = FourierVectorField.from_modes({1: 1.0}, 2)
-        holo = u_to_holo(u)
-        z = 0.3 + 0.4j
-        assert complex(holo(z)) == pytest.approx(1j * z**2, rel=1e-14)
-        quad = u_to_quadratic(u)
-        assert np.max(np.abs(quad.coeffs)) == 0.0
-
-    def test_second_mode_quadratic(self):
-        u = FourierVectorField.from_modes({2: 1.0}, 3)
-        quad = u_to_quadratic(u)
-        assert complex(quad.coeffs[0]) == pytest.approx(6j)
 
 
 @settings(max_examples=25, derandomize=True)
