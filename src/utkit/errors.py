@@ -3,7 +3,7 @@
 Every error raised deliberately by this library derives from UtkitError so
 callers can catch the whole family with one clause.  The subclasses mirror
 the failure modes of the numerical pipeline: domain/geometry misuse,
-quadrature breakdown, series truncation and solver divergence.
+quadrature breakdown, fits and solver divergence.
 """
 
 
@@ -34,10 +34,6 @@ class QuadratureFailure(UtkitError):
 
 class NonFiniteValue(UtkitError):
     """A NaN or infinity appeared where a finite value is required."""
-
-
-class TruncationExceeded(UtkitError):
-    """Input cannot be represented within the configured truncation."""
 
 
 class NoConvergence(UtkitError):

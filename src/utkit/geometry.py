@@ -315,13 +315,23 @@ class MoebiusMap:
         return self.apply(z)
 
     def derivative(self, z):
-        """Complex derivative 1/(conj(b) z + conj(a))^2."""
+        """Complex derivative 1/(conj(b) z + conj(a))^2; 0 at infinity, or
+        1/conj(a)^2 when b = 0.  The pole raises ``CriticalPoint`` and NaN
+        ``NonFiniteValue``.  Arrays are handled entrywise."""
         if isinstance(z, DiskPoint):
             z = z.value
         if isinstance(z, np.ndarray):
+            if np.isnan(z).any():
+                raise NonFiniteValue("NaN is not a point of the sphere")
+            inf = np.isinf(z)
+            if inf.any():
+                return np.where(inf, self.derivative(INF),
+                                self.derivative(np.where(inf, 0.0, z)))
             den = np.conj(self.b) * z + np.conj(self.a)
+            if (den == 0).any():
+                raise CriticalPoint("derivative requested at the pole of the map")
             return 1.0 / np.square(den)
-        z = complex(z)
+        z = _check_not_nan(complex(z))
         if cmath.isinf(z):
             if self.b == 0:
                 return 1.0 / self.a.conjugate() ** 2

@@ -8,14 +8,12 @@ yields exact normalization jets for the interior conformal restriction,
 and the first dropped iterate is, identically, the Beltrami residual of
 the truncated solution.
 
-Grid sampled densities are transformed by windowed quadrature with a
-local polar patch (cauchy_transform); everything feeding derivatives
-goes through the exact term algebra (beurling_transform and the solver
-itself).  Term-algebra densities are evaluated by the points asked for:
+Grid samples on the disk are transformed mode by mode (cauchy_transform,
+beurling_transform); the solver's iterates go through the exact term
+algebra.  Term-algebra densities are evaluated by the points asked for:
 on the nodes of a polar rule (the solver's norms, residuals and grid
 samples) with one FFT per ring (BiPoly.eval_rule), at arbitrary points
-(QCMap.evaluate and derivatives, beurling_transform) with polyval2d
-(BiPoly.eval).
+(QCMap.evaluate and derivatives) with polyval2d (BiPoly.eval).
 """
 
 from __future__ import annotations
@@ -33,17 +31,9 @@ from .errors import (
     FitFailure,
     NoConvergence,
     NormTooLarge,
-    QuadratureFailure,
-    TruncationExceeded,
 )
 from .geometry import Domain, MoebiusMap
-from .quadrature import (
-    GridFunction,
-    QuadRule,
-    _bilinear_lookup,
-    _local_polar_rule,
-    _smoothstep,
-)
+from .quadrature import GridFunction, QuadRule, _mode_profiles
 from .series import BeltramiField, HoloCoeffs
 
 __all__ = [
@@ -86,34 +76,51 @@ _FAR = 1e150
 # -- Cauchy and Beurling transforms ------------------------------------
 
 
-def cauchy_transform(h: GridFunction, z) -> complex:
-    """P(h)(z) = -(1/pi) iint_D h(zeta)/(zeta - z) d2zeta by quadrature.
+def _disk_transform(h: GridFunction, z, order: int) -> complex:
+    """d^order/dz^order of P(h) at z, for order 0 or 1, mode by mode.
 
-    The weak 1/|zeta - z| singularity is handled by the windowed node sum
-    plus the local polar patch rule of the quadrature module, whose rays
-    stop at the unit circle, so points just outside the disk are served
-    by the same rule.  The error is set by the grid, not the singularity:
-    on the default 64 x 128 rule, for the densities 1 and zbar, it is
-    under 1e-4 for |z| <= 0.6 and at most 4.2e-4 for 0.9 <= |z| < 1.  The
-    patch rays are measured from the direction of z, so the error does not
-    depend on where z sits between node angles.  Over 36 angles at
-    |z| = 1.01 it is at most 4.5e-4 on 32 x 64 and 2.6e-4 on 64 x 128; at
-    |z| = 1.03, 2.4e-4 and 3.6e-5.
+    With r = abs(z), theta = arg z and h_n the radial profile of angular
+    mode n of h, P(h) takes e^{i(n-1)theta} times 2 int_0^r h_n (s/r)^(1-n) ds
+    for n <= 0 and -2 int_r^1 h_n (r/s)^(n-1) ds for n >= 1: the expansion
+    of 1/(zeta - z) in powers of zeta/z inside abs(zeta) = r and of z/zeta
+    outside it, of which one power survives the angular integral.  d/dz
+    takes each term times (n-1)/z and, for r <= 1, adds h(z) zbar/z from
+    the moving limit r; at z = 0 only the n = 2 term stays.  Every ratio
+    in the sums is at most 1.
     """
     if h.domain is not Domain.UNIT_DISK:
-        raise DomainMismatch("cauchy_transform integrates densities on the disk")
+        raise DomainMismatch("the transforms take densities on the disk")
     z = complex(z)
-    rule = h.rule
-    diffs = h.nodes() - z
-    delta = rule.patch_radius
-    eta = _smoothstep(np.abs(diffs) / delta)
-    base = -pairwise_dot(rule.node_weights() * eta, h.values / diffs) / math.pi
-    pts, pweights = _local_polar_rule(z, delta)
-    local = _bilinear_lookup(h, pts) / (pts - z)
-    out = base - pairwise_dot(pweights, local) / math.pi
-    if not np.isfinite(out):
-        raise QuadratureFailure("cauchy transform did not evaluate finitely")
+    r = abs(z)
+    modes, s, ds, profiles, at_r = _mode_profiles(h, r)
+    inside = s < r
+    hi = np.maximum(s, r)
+    # outside r, d/dz's (r/s)^(n-1) / r is taken as (r/s)^(n-2) / s, finite
+    # at r = 0; at n = 1 the factor n - 1 = 0 cancels the term
+    power = np.maximum(np.abs(modes - 1) - order * ~inside[:, None], 0)
+    kernel = np.where(inside[:, None] == (modes <= 0),
+                      (np.minimum(s, r) / hi)[:, None] ** power, 0.0)
+    weights = ds * np.where(inside, 2.0, -2.0) / hi ** order
+    sums = np.einsum("s,sk,sk->k", weights, kernel, profiles)
+    theta = np.angle(z)
+    out = np.exp(1j * (modes - 1 - order) * theta) @ (sums * (modes - 1.0) ** order)
+    if order and 0.0 < r <= 1.0:
+        out += np.exp(1j * (modes - 2) * theta) @ at_r
     return complex(out)
+
+
+def cauchy_transform(h: GridFunction, z) -> complex:
+    """P(h)(z) = -(1/pi) iint_D h(zeta)/(zeta - z) d2zeta, for disk
+    samples h, by one radial integral per angular mode (_disk_transform).
+    Exact to rounding on densities whose profiles the rule's radii
+    reproduce; non-finite samples raise NonFiniteValue."""
+    return _disk_transform(h, z, 0)
+
+
+def beurling_transform(h: GridFunction, z) -> complex:
+    """H(h)(z) = d/dz P(h)(z), for disk samples h, mode by mode as
+    cauchy_transform; on the unit circle the limit from inside."""
+    return _disk_transform(h, z, 1)
 
 
 def _fit_bipoly(gf: GridFunction, deg_z: int, deg_zbar: int):
@@ -152,33 +159,6 @@ def _fit_bipoly(gf: GridFunction, deg_z: int, deg_zbar: int):
         spec[:, q] -= powers @ coef
     resid = float(np.max(np.abs(np.fft.ifft(spec, axis=1)))) * m_count
     return BiPoly(arr[None], 0, -1).prune(), resid
-
-
-def beurling_transform(h, z, *, degrees=(6, 18), tol=1e-6) -> complex:
-    """H(h)(z), computed as d/dz of the closed-form Cauchy transform.
-
-    h may be a GridFunction on the disk (expanded over monomials first;
-    TruncationExceeded when the expansion residual exceeds tol) or a
-    BiPoly already in the algebra.  Never evaluated as a raw
-    principal-value sum.
-    """
-    if isinstance(h, GridFunction):
-        if h.domain is not Domain.UNIT_DISK:
-            raise DomainMismatch("beurling_transform expects densities on the disk")
-        bp, resid = _fit_bipoly(h, *degrees)
-        top = float(np.max(np.abs(h.values)))
-        if resid > tol * max(top, 1.0):
-            raise TruncationExceeded(
-                f"monomial expansion residual {resid:.3e} exceeds tolerance")
-    elif isinstance(h, BiPoly):
-        bp = h
-    else:
-        raise TypeError("beurling_transform takes a GridFunction or BiPoly")
-    interior, tail = bp.cauchy()
-    z = complex(z)
-    if abs(z) <= 1.0:
-        return complex(interior.dz().eval(z))
-    return complex(eval_principal(_tail_derivative(tail), z))
 
 
 def _tail_derivative(tail):

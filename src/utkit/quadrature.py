@@ -6,28 +6,27 @@ the rule's order in both factors.  Exterior integrals are pulled back to the
 disk through z -> 1/conj(z); the hyperbolic area form is invariant under
 that inversion, which is why one rule serves both sides.
 
-Integrands singular at a point z (the Cauchy kernel, and kernels handed
-to ``integrate_double``) use one windowed rule: the node sum is weighted by
-a C^2 window that vanishes at z, and the complementary near-diagonal part
-is integrated by a local polar patch around z whose rays stop at the unit
-circle: 16 rays of 16 nodes each, one Gauss rule in tau with radius
-s = delta tau^3, which resolves the logarithmic singularity at z and the
-window's edge alike.  The rays are measured from the direction of z, so
-the patch rule commutes with rotations.  Grid data is sampled on the patch
-nodes by bilinear interpolation in (r, theta).  ``integrate_double`` and
-``qc_solver.cauchy_transform`` use it.  ``integrate_double`` uses the
-rotation symmetry of the rule: the window and the patch are built once per
-ring of outer nodes and rotated along the ring.
+Kernels handed to ``integrate_double``, singular on the diagonal, use one
+windowed rule: the node sum is weighted by a C^2 window that vanishes at
+the outer node z, and the complementary near-diagonal part is integrated by
+a local polar patch around z whose rays stop at the unit circle: 16 rays
+of 16 nodes each, one Gauss rule in tau with radius s = delta tau^3, which
+resolves the logarithmic singularity at z and the window's edge alike.  The
+rays are measured from the direction of z, so the patch rule commutes with
+rotations, and the window and the patch are built once per ring of outer
+nodes and rotated along the ring.
 
-``apply_resolvent`` integrates through the closed-form mode kernels of
-``modes``.  A grid function is split into angular modes by one FFT per
-ring; each mode's radial profile, the polynomial through the rule's radii,
-is summed against Ghat_p on the mode table's radial rule, whose panel that
-holds abs(z) is cut at abs(z), where Ghat_p has its kink.  A callable is
+Operators that act on one angular mode at a time take a grid function
+through ``_mode_profiles``: one FFT per ring splits it into modes, and each
+mode's radial profile, the polynomial through the rule's radii, is taken on
+the mode table's radial rule, whose panel that holds abs(z) is cut at
+abs(z), where the mode kernels have their kink.  ``apply_resolvent`` sums
+the profiles against the closed-form Ghat_p of ``modes``; a callable is
 sampled on the nodes of its rule and takes the same path.  On profiles the
 rule's radii reproduce (the products of basis fields, constants) the value
 is exact to rounding up to abs(z) = 1 - 3.5e-4, the table's outermost
-radius.
+radius.  ``qc_solver.cauchy_transform`` and ``beurling_transform`` sum the
+same profiles against the Cauchy kernel's radial factors.
 """
 
 from __future__ import annotations
@@ -257,6 +256,42 @@ def _radial_maps(radial_nodes: int):
     return radii, lam, to_nodes
 
 
+def _mode_profiles(f: GridFunction, r: float):
+    """(modes n, nodes s, weights ds, profiles on s, profiles at min(r, 1))
+    of a disk grid function: one FFT per ring, the modes below 64 eps
+    sup abs(f) in every ring dropped, and each mode's profile, the
+    polynomial through the rule's radii, taken on the mode table's radial
+    rule with the panel that holds min(r, 1) cut there (ds is 0 on the
+    panel's own nodes).  Non-finite samples raise NonFiniteValue."""
+    values = check_finite(f.values, "integrand sample")
+    m = f.rule.angular_count
+    rings = np.fft.fft(values, axis=1) / m
+    # G > 0 and G 1 = 1 bound abs(Ghat_p) by Ghat_0, and the Cauchy
+    # kernels of a mode by 2, so a dropped mode moves a value by about
+    # its own size at most
+    keep = np.nonzero(np.max(np.abs(rings), axis=0)
+                      > 64.0 * np.finfo(float).eps * np.max(np.abs(values)))[0]
+    radii, lam, to_nodes = _radial_maps(f.rule.radial_nodes)
+    table = mode_table(m // 2)
+    # the table's panel that holds r, cut at r where the kernels have a kink
+    r = min(r, 1.0)
+    panel = np.searchsorted(table.ends, r, side="right") - 1
+    ends = table.ends[panel:panel + 2]
+    if r > ends[0]:
+        ends = np.insert(ends, 1, r)
+    width = np.diff(ends)[:, None]
+    cut = (ends[:-1, None] + width * table.xg).ravel()
+    # the cut panel's nodes replace the panel's
+    ds = np.concatenate([table.weights, (width * table.wg).ravel()])
+    ds[panel * table.xg.size:(panel + 1) * table.xg.size] = 0.0
+    # each kept mode's radial profile on s and at r, on (Re, Im) lanes
+    lanes = np.ascontiguousarray(rings[:, keep]).view(float)
+    profiles = np.concatenate([to_nodes @ lanes, _interpolation(
+        np.append(cut, r), radii, lam) @ lanes]).view(complex)
+    modes = np.fft.fftfreq(m, 1.0 / m).astype(int)[keep]
+    return modes, np.concatenate([table.s, cut]), ds, profiles[:-1], profiles[-1]
+
+
 def _apply_resolvent_grid(f: GridFunction, z: complex, domain: Domain) -> complex:
     if f.domain is not domain:
         raise DomainMismatch("grid function domain does not match the point")
@@ -265,35 +300,12 @@ def _apply_resolvent_grid(f: GridFunction, z: complex, domain: Domain) -> comple
     # inversion invariant
     if domain is Domain.EXTERIOR_DISK:
         z = 0.0 if not np.isfinite(z) else 1.0 / np.conj(z)
-    values = check_finite(f.values, "integrand sample")
-    m = f.rule.angular_count
-    rings = np.fft.fft(values, axis=1) / m
-    # modes below 64 eps sup abs(f) in every ring are dropped: G > 0 and
-    # G 1 = 1 bound abs(Ghat_p) by Ghat_0, so each moves (G f)(z) by about
-    # its own size at most
-    keep = np.nonzero(np.max(np.abs(rings), axis=0)
-                      > 64.0 * np.finfo(float).eps * np.max(np.abs(values)))[0]
-    radii, lam, to_nodes = _radial_maps(f.rule.radial_nodes)
-    table = mode_table(m // 2)
-    # the table's panel that holds r, cut at r where Ghat_p(r, s) has its kink
     r = abs(z)
-    panel = np.searchsorted(table.ends, r, side="right") - 1
-    ends = table.ends[panel:panel + 2]
-    if r > ends[0]:
-        ends = np.insert(ends, 1, r)
-    width = np.diff(ends)[:, None]
-    cut = (ends[:-1, None] + width * table.xg).ravel()
-    # weights times rho(s) s; the cut panel's nodes replace the panel's
-    weights = np.concatenate([table.weights * table.measure, (width * table.wg).ravel()
-                              * 4.0 * cut / np.square((1.0 - cut) * (1.0 + cut))])
-    weights[panel * table.xg.size:(panel + 1) * table.xg.size] = 0.0
-    # each kept mode's radial profile at the nodes, on (Re, Im) lanes
-    lanes = np.ascontiguousarray(rings[:, keep]).view(float)
-    profiles = np.concatenate([to_nodes @ lanes, _interpolation(cut, radii, lam) @ lanes])
-    modes = np.fft.fftfreq(m, 1.0 / m).astype(int)[keep]
-    s = np.concatenate([table.s, cut])
+    modes, s, ds, profiles, _ = _mode_profiles(f, r)
+    # ds times rho(s) s
+    weights = ds * (4.0 * s / np.square((1.0 - s) * (1.0 + s)))
     ghat = np.array([mode_kernel(int(p), r, s) for p in modes]).reshape(-1, s.size)
-    sums = np.einsum("ks,sk->k", ghat * weights, profiles.view(complex))
+    sums = np.einsum("ks,sk->k", ghat * weights, profiles)
     return complex(np.exp(1j * modes * np.angle(z)) @ sums)
 
 
@@ -380,27 +392,6 @@ def _local_polar_rule(z, delta: float):
     w = z[..., None] + s * (unit * _PATCH_DIRS)[..., None, :]
     area = (length * _PATCH_WT[:, None]) * s * (TWO_PI / _PATCH_DIRS.size)
     return w, area * (1.0 - _smoothstep(s / delta))
-
-
-def _bilinear_lookup(gf: GridFunction, pts):
-    """Sample a grid function off-node, bilinear in (r, theta).
-
-    ``pts`` are disk positions; for exterior samples they are the mirror
-    images 1/conj(w), where the node geometry is the disk's.
-    """
-    radii = gf.rule.radii
-    m = gf.rule.angular_count
-    r = np.abs(pts)
-    hi = np.clip(np.searchsorted(radii, r), 1, radii.size - 1)
-    lo = hi - 1
-    tr = np.clip((r - radii[lo]) / (radii[hi] - radii[lo]), 0.0, 1.0)
-    ang = np.angle(pts) * m / TWO_PI
-    j0 = np.floor(ang).astype(int) % m
-    ta = ang - np.floor(ang)
-    j1 = (j0 + 1) % m
-    v = gf.values
-    return ((1 - tr) * ((1 - ta) * v[lo, j0] + ta * v[lo, j1])
-            + tr * ((1 - ta) * v[hi, j0] + ta * v[hi, j1]))
 
 
 # kernel entries per block of outer nodes in integrate_double

@@ -6,6 +6,7 @@ import pytest
 
 from utkit.errors import (
     BoundaryPoint,
+    CriticalPoint,
     DiagonalSingularity,
     DomainMismatch,
     NonFiniteValue,
@@ -275,6 +276,31 @@ class TestMoebius:
             m.apply(np.array([0.2, nan]))
         with pytest.raises(NonFiniteValue):
             MoebiusMap.through_points([nan, 1.0, -1.0], [INF, 1.0, -1.0])
+
+    def test_derivative_array_matches_scalar_path(self):
+        # infinity, a finite point and the pole; a rotation maps infinity
+        # to itself, with derivative 1/conj(a)^2 there
+        nan = complex(math.nan, 0.0)
+        for m in (MoebiusMap(1.25, 0.75), MoebiusMap(2.0, 1.0 + 0.5j),
+                  MoebiusMap.rotation(0.7)):
+            zs = np.array([INF, 0.3 - 0.2j, -0.5j])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = m.derivative(zs)
+                for z, d in zip(zs, got):
+                    assert d == pytest.approx(m.derivative(complex(z)), rel=1e-15)
+                with pytest.raises(NonFiniteValue):
+                    m.derivative(nan)
+                with pytest.raises(NonFiniteValue):
+                    m.derivative(np.array([0.2, nan]))
+        m = MoebiusMap(1.25, 0.75)
+        pole = -np.conj(m.a) / np.conj(m.b)
+        with pytest.raises(CriticalPoint):
+            m.derivative(complex(pole))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CriticalPoint):
+                m.derivative(np.array([0.3, pole]))
 
     def test_through_points(self):
         ps = [np.exp(1j * t) for t in (2.9, -1.2, 0.4)]

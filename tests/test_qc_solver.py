@@ -16,8 +16,8 @@ from utkit.errors import (
     DomainMismatch,
     FitFailure,
     NoConvergence,
+    NonFiniteValue,
     NormTooLarge,
-    TruncationExceeded,
 )
 from utkit.geometry import Domain, MoebiusMap
 from utkit.qc_solver import (
@@ -27,6 +27,7 @@ from utkit.qc_solver import (
     _fit_bipoly,
     _phi_eval,
     _run_series,
+    _tail_derivative,
     _taylor_from_tail,
     bers_embedding,
     beurling_transform,
@@ -55,6 +56,16 @@ def wirtinger_fd(f, z, h=1e-5):
     return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
 
 
+# (density, P inside, P outside, H inside, H outside)
+EXACT_TRANSFORMS = {
+    "1": (np.ones_like, np.conj, lambda z: 1 / z, np.zeros_like, lambda z: -1 / z**2),
+    "zbar": (np.conj, lambda z: np.conj(z) ** 2 / 2, lambda z: 0.5 / z**2,
+             np.zeros_like, lambda z: -1 / z**3),
+    "z zbar": (lambda z: z * np.conj(z), lambda z: z * np.conj(z) ** 2 / 2,
+               lambda z: 0.5 / z, lambda z: np.conj(z) ** 2 / 2, lambda z: -0.5 / z**2),
+}
+
+
 class TestCauchyTransform:
     def test_zero_density(self):
         rule = QuadRule(16, 32)
@@ -65,17 +76,62 @@ class TestCauchyTransform:
         rule = QuadRule(32, 64)
         one = GridFunction.from_callable(np.ones_like, rule, Domain.UNIT_DISK)
         for z in (0.3 + 0.2j, -0.55 + 0.41j, 0.05j):
-            assert cauchy_transform(one, z) == pytest.approx(np.conj(z), abs=2e-4)
+            assert cauchy_transform(one, z) == pytest.approx(np.conj(z), abs=1e-13)
         z = 1.7 - 0.4j
-        assert cauchy_transform(one, z) == pytest.approx(1.0 / z, abs=1e-12)
+        assert cauchy_transform(one, z) == pytest.approx(1.0 / z, abs=1e-13)
 
     def test_antiholomorphic_density(self):
         rule = QuadRule(32, 64)
         zb = GridFunction.from_callable(np.conj, rule, Domain.UNIT_DISK)
         z = -0.4 + 0.33j
-        assert cauchy_transform(zb, z) == pytest.approx(np.conj(z) ** 2 / 2, abs=2e-4)
+        assert cauchy_transform(zb, z) == pytest.approx(np.conj(z) ** 2 / 2, abs=1e-13)
         z = 2.1 + 0.6j
-        assert cauchy_transform(zb, z) == pytest.approx(0.5 / z**2, abs=1e-12)
+        assert cauchy_transform(zb, z) == pytest.approx(0.5 / z**2, abs=1e-13)
+
+    @pytest.mark.parametrize("shape", [(16, 32), (32, 64), (64, 128)])
+    @pytest.mark.parametrize("name", sorted(EXACT_TRANSFORMS))
+    def test_exact_at_every_angle_and_radius(self, shape, name):
+        # at the center, on both sides of the circle and on it, where H is
+        # the limit from inside
+        density, p_in, p_out, h_in, h_out = EXACT_TRANSFORMS[name]
+        h = GridFunction.from_callable(density, QuadRule(*shape), Domain.UNIT_DISK)
+        for radius in (0.0, 1e-9, 0.3, 0.999, 1 - 1e-6, 1.0, 1 + 1e-6, 1.001, 1.01,
+                       1.03, 3.0):
+            for z in radius * np.exp(2j * np.pi * np.arange(36) / 36):
+                p, d = (p_in, h_in) if radius <= 1.0 else (p_out, h_out)
+                assert abs(cauchy_transform(h, z) - p(z)) < 1e-13
+                assert abs(beurling_transform(h, z) - d(z)) < 1e-13
+
+    def test_matches_the_term_algebra(self):
+        # two paths: grid samples of random monomial densities, against
+        # the closed-form interior and tail and their z-derivatives
+        rng = np.random.default_rng(23)
+        rule = QuadRule(32, 64)
+        for _ in range(10):
+            bp = BiPoly.zero()
+            for a, b in rng.integers(0, 8, (8, 2)):
+                bp = bp + BiPoly.from_term(complex(*rng.standard_normal(2)), int(a), int(b))
+            h = GridFunction(rule, Domain.UNIT_DISK, bp.eval(rule.nodes()))
+            top = np.max(np.abs(h.values))
+            interior, tail = bp.cauchy()
+            radii = np.concatenate([0.999 * rng.random(10), 1.001 + 2 * rng.random(10)])
+            for z in radii * np.exp(2j * np.pi * rng.random(20)):
+                if abs(z) < 1:
+                    p, d = interior.eval(z), interior.dz().eval(z)
+                else:
+                    p, d = eval_principal(tail, z), eval_principal(_tail_derivative(tail), z)
+                assert abs(cauchy_transform(h, z) - p) <= 1e-12 * top
+                assert abs(beurling_transform(h, z) - d) <= 1e-12 * top
+
+    def test_wirtinger_derivatives_on_a_smooth_density(self):
+        # dbar P = h inside and 0 outside, d P = H on both sides, for a
+        # density outside the term algebra
+        f = lambda z: np.exp(2.0 * z.real)
+        h = GridFunction.from_callable(f, QuadRule(64, 128), Domain.UNIT_DISK)
+        for z in (0.0, 0.3 - 0.5j, -0.7 + 0.1j, 1.3 + 0.4j, -0.2 - 1.6j):
+            dz, dzbar = wirtinger_fd(lambda w: cauchy_transform(h, w), z)
+            assert abs(dzbar - (f(np.array(z)) if abs(z) < 1 else 0.0)) < 1e-9
+            assert abs(dz - beurling_transform(h, z)) < 1e-9
 
     def test_linearity(self):
         rule = QuadRule(16, 32)
@@ -92,6 +148,18 @@ class TestCauchyTransform:
         gf = GridFunction.from_callable(np.ones_like, rule, Domain.EXTERIOR_DISK)
         with pytest.raises(DomainMismatch):
             cauchy_transform(gf, 1.5 + 0j)
+        with pytest.raises(DomainMismatch):
+            beurling_transform(gf, 1.5 + 0j)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_samples_raise(self, bad):
+        rule = QuadRule(12, 24)
+        values = np.ones((12, 24), dtype=complex)
+        values[5, 7] = bad
+        h = GridFunction(rule, Domain.UNIT_DISK, values)
+        for transform in (cauchy_transform, beurling_transform):
+            with pytest.raises(NonFiniteValue):
+                transform(h, 0.3 + 0.1j)
 
 
 class TestBeurlingTransform:
@@ -113,35 +181,34 @@ class TestBeurlingTransform:
         z = 1.6 - 0.7j
         assert beurling_transform(gf, z) == pytest.approx(-0.5 / z**2, rel=1e-8)
 
+    def test_center(self):
+        # at z = 0 only mode 2 contributes: H(z^2)(0) = -2 int_0^1 s ds
+        rule = QuadRule(16, 32)
+        gf = GridFunction.from_callable(np.square, rule, Domain.UNIT_DISK)
+        assert abs(beurling_transform(gf, 0.0) + 1.0) < 1e-13
+
     def test_matches_derivative_of_cauchy(self):
-        # H must be the z-derivative of the closed-form transform at 50
-        # random points, interior and exterior alike
+        # the z-derivatives of the closed-form transform, interior.dz()
+        # and _tail_derivative, against finite differences at 50 random
+        # points, interior and exterior alike
         bp = (BiPoly.from_term(1.3 - 0.4j, 2, 1)
               + BiPoly.from_term(0.7j, 0, 3)
               + BiPoly.from_term(-0.5, 1, 0)
               + BiPoly.from_term(0.4, 3, 2)
               + BiPoly.from_term(0.2, 1, -1))
-        interior, _ = bp.cauchy()
+        interior, tail = bp.cauchy()
         rng = np.random.default_rng(41)
         pts_in = (0.45 + 0.45 * rng.random(45)) * np.exp(2j * np.pi * rng.random(45))
         pts_out = (1.5 + rng.random(5)) * np.exp(2j * np.pi * rng.random(5))
         for z in pts_in:
             fd, _ = wirtinger_fd(interior.eval, complex(z), h=0.01)
-            val = beurling_transform(bp, z)
+            val = interior.dz().eval(z)
             assert abs(val - fd) <= 1e-8 * (1.0 + abs(val))
-        _, tail = bp.cauchy()
         for z in pts_out:
-            got = beurling_transform(bp, z)
+            got = eval_principal(_tail_derivative(tail), z)
             fd, _ = wirtinger_fd(lambda w: eval_principal(tail, w), complex(z),
                                  h=0.01)
             assert abs(got - fd) <= 1e-8 * (1.0 + abs(got))
-
-    def test_rough_density_rejected(self):
-        rule = QuadRule(16, 32)
-        gf = GridFunction.from_callable(lambda z: np.exp(2.0 * z.real), rule,
-                                        Domain.UNIT_DISK)
-        with pytest.raises(TruncationExceeded):
-            beurling_transform(gf, 0.2 + 0j, degrees=(2, 2), tol=1e-10)
 
 
 def _dense_fit(rule, values, deg_z, deg_zbar):
