@@ -22,11 +22,10 @@ mode a - b per ring and one FFT per ring gives the values (eval_rule),
 at about nnz * R + R * M log M cost; arbitrary points go through
 polyval2d (eval), at nnz cost per point.
 
-Two tables depend on no coefficient and are built once, then shared
-read-only and sliced per call: the triangular Cauchy kernel K[t, j, b],
-one per log-power count over the range of b asked for so far, and the
-ring powers log(r_k)^j and r_k^s, one pair per polar rule over the j and
-s asked for so far.
+Two tables depend on no coefficient, so each is built once per shape
+in a bounded cache and shared read-only: the triangular Cauchy kernel
+K[t, j, b] per log-power count and range of b, and the ring powers
+log(r_k)^j r_k^s per polar rule and range of j and s.
 """
 
 from __future__ import annotations
@@ -43,59 +42,34 @@ _polyval = np.polynomial.polynomial.polyval
 _polyval2d = np.polynomial.polynomial.polyval2d
 
 
-class _RangeTable:
-    """build(k) over a range of integers k on the last axis, built on first
-    use, rebuilt wider when a request leaves it and shared read-only; a
-    request gets a view.  The range grows down only as far as asked, since
-    negative powers can overflow, and up by at least its width."""
-
-    def __init__(self, build):
-        self._build = build
-        self._state = None  # (first k, table), replaced whole
-
-    def __call__(self, lo, hi):
-        state = self._state
-        if state is None:
-            state = self._fill(lo, hi)
-        else:
-            start, stop = state[0], state[0] + state[1].shape[-1]
-            if lo < start or hi > stop:
-                state = self._fill(min(lo, start),
-                                   max(hi, 2 * stop - start) if hi > stop else stop)
-        start, table = state
-        return table[..., lo - start:hi - start]
-
-    def _fill(self, lo, hi):
-        table = self._build(np.arange(lo, hi))
-        table.flags.writeable = False
-        self._state = (lo, table)
-        return self._state
-
-
-@lru_cache(maxsize=64)
-def _cauchy_kernel(nj: int) -> _RangeTable:
-    """K[t, j, b] of BiPoly.cauchy for log powers t, j < nj, by b."""
+# the field's mode set and the term fix a table's shape, so solves over the
+# same modes share tables: a pass over fields of 1 to 8 modes asks for about
+# 260 ring tables (2.4 MB in all) and 70 kernels
+@lru_cache(maxsize=256)
+def _cauchy_kernel(nj: int, bmin: int, nb: int) -> np.ndarray:
+    """K[t, j, b] of BiPoly.cauchy for log powers t, j < nj and the nb
+    values of b from bmin, read-only."""
     gap = np.arange(nj) - np.arange(nj)[:, None]
     falling = np.cumprod(np.where(gap > 0, np.arange(nj), 1.0), axis=1)
     sign = np.where(gap % 2, -2.0, 2.0) * (gap >= 0)
-
-    def build(bvals):
-        q = np.where(bvals == -1, 1.0, 2.0 * bvals + 2.0)
-        kern = (sign * falling)[:, :, None] / q ** (np.maximum(gap, 0) + 1)[:, :, None]
-        kern[:, :, bvals == -1] = 0.0
-        return kern
-
-    return _RangeTable(build)
+    bvals = np.arange(bmin, bmin + nb)
+    q = np.where(bvals == -1, 1.0, 2.0 * bvals + 2.0)
+    kern = (sign * falling)[:, :, None] / q ** (np.maximum(gap, 0) + 1)[:, :, None]
+    kern[:, :, bvals == -1] = 0.0
+    kern.flags.writeable = False
+    return kern
 
 
-@lru_cache(maxsize=8)
-def _ring_powers(rule) -> tuple[_RangeTable, _RangeTable]:
-    """log(r_k)^j by (k, j) and r_k^s by (k, s) on the radii of a polar
-    rule."""
-    radii = rule.radii
-    logs = np.log(radii)
-    return (_RangeTable(lambda j: logs[:, None] ** j),
-            _RangeTable(lambda s: radii[:, None] ** s))
+@lru_cache(maxsize=512)
+def _ring_powers(rule, nj: int, s0: int, span: int) -> np.ndarray:
+    """log(r_k)^j r_k^s by (k, j, s), j < nj and s0 <= s < s0 + span, on
+    the radii of a polar rule, read-only."""
+    radii = rule.radii[:, None]
+    logs = np.log(radii) ** np.arange(nj)
+    powers = radii ** np.arange(s0, s0 + span)
+    table = logs[:, :, None] * powers[:, None, :]
+    table.flags.writeable = False
+    return table
 
 
 class BiPoly:
@@ -258,7 +232,7 @@ class BiPoly:
         # with K[t, j, b] = 2 (-1)^(j-t) (j!/t!) q^-(j-t+1), plus a constant
         # of integration; the b = -1 column (q = 0) integrates to a pure
         # log power 2 c z^a L^(j+1) / (j+1) instead
-        kern = _cauchy_kernel(nj)(self._bmin, self._bmin + nb)
+        kern = _cauchy_kernel(nj, self._bmin, nb)
         # the constant, level by level K[0, j, b] c[j, a, b]: z^(m-1) inside
         # for mode m >= 1 (summed per level, then over the levels), the
         # principal z^(m-1) outside for m <= 0
@@ -332,9 +306,7 @@ class BiPoly:
         np.ndarray(c.shape, complex, sheared, (nb - 1) * item,
                    (span * span * item, (span + 1) * item, (span - 1) * item))[...] = c
         # the real table log(r_k)^j r_k^s against the float view of the block
-        log_powers, powers = _ring_powers(rule)
-        s0 = self._amin + self._bmin
-        table = log_powers(0, nj)[:, :, None] * powers(s0, s0 + span)[:, None, :]
+        table = _ring_powers(rule, nj, self._amin + self._bmin, span)
         per_mode = (table.reshape(radii.size, nj * span)
                     @ sheared.view(float).reshape(nj * span, 2 * span)).view(complex)
         # fold: column i holds mode amin - bmin - nb + 1 + i

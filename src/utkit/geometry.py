@@ -269,17 +269,6 @@ class MoebiusMap:
         )
         return cls.from_matrix(inv_t @ ms, tol=tol)
 
-    # -- the group structure --------------------------------------------------
-
-    def inverse(self) -> "MoebiusMap":
-        return MoebiusMap(self.a.conjugate(), -self.b)
-
-    def compose(self, other: "MoebiusMap") -> "MoebiusMap":
-        """self after other: (self.compose(other))(z) = self(other(z))."""
-        a = self.a * other.a + self.b * other.b.conjugate()
-        b = self.a * other.b + self.b * other.a.conjugate()
-        return MoebiusMap(a, b)
-
     # -- evaluation ------------------------------------------------------------
 
     def apply(self, z):

@@ -11,9 +11,12 @@ the truncated solution.
 Grid samples on the disk are transformed mode by mode (cauchy_transform,
 beurling_transform); the solver's iterates go through the exact term
 algebra.  Term-algebra densities are evaluated by the points asked for:
-on the nodes of a polar rule (the solver's norms, residuals and grid
-samples) with one FFT per ring (BiPoly.eval_rule), at arbitrary points
-(QCMap.evaluate and derivatives) with polyval2d (BiPoly.eval).
+on the nodes of a polar rule with one FFT per ring (BiPoly.eval_rule),
+at arbitrary points (QCMap.evaluate and derivatives) with polyval2d
+(BiPoly.eval).  The series is evaluated on two rules only: each iterate
+once on a coarse probe rule, which gives both its residual and its L2
+norm, and on the solver's rule when the probe passes, which gives the
+residual that is reported and the grid samples.
 """
 
 from __future__ import annotations
@@ -191,23 +194,10 @@ def _nu_from_mu(mu: BeltramiField, degrees):
     return _fit_bipoly(pulled.grid, *degrees)
 
 
-def _l2_disk(bp: BiPoly, rule: QuadRule) -> float:
-    """L2 norm over the disk by the rule, through Parseval on each ring:
-    2 pi sum_k w_k sum_q |B_kq|^2 for the mode sums B of bp."""
-    if bp.is_zero:
-        return 0.0
-    sums = bp._mode_sums(rule).view(float)
-    ring = np.einsum("kq,kq->k", sums, sums)
-    return math.sqrt(2.0 * math.pi * float(pairwise_dot(rule.radial_weights, ring).real))
-
-
 class _SeriesState:
     """Accumulated Neumann data: w~(zeta) = zeta + interior(zeta) on the
     disk, zeta + principal tail outside, and the next iterate h, which
-    is identically the residual density of the truncation.
-
-    grid_w_tilde and grid_residual hold w~(1/z) and the residual field
-    over the exterior nodes of the rule last passed to residual_sup."""
+    is identically the residual density of the truncation."""
 
     def __init__(self, nu: BiPoly):
         self.nu = nu
@@ -216,8 +206,6 @@ class _SeriesState:
         self.h = nu
         self.terms = 0
         self.ratios = []
-        self.grid_w_tilde = None
-        self.grid_residual = None
 
     def push(self):
         pk, tk = self.h.cauchy()
@@ -235,11 +223,15 @@ class _SeriesState:
     def w_tilde_ext(self, zeta):
         return eval_principal(self.tail, zeta) + zeta
 
-    def residual_sup(self, rule: QuadRule) -> float:
-        """sup |w_zbar - mu w_z| of the truncated map over the exterior
-        nodes of rule, via residual = -h_next(1/z) / (zbar^2 w~(1/z)^2);
-        1/z runs over the conjugated disk nodes and 1/zbar over the disk
-        nodes themselves."""
+    def residual_sup(self, rule: QuadRule):
+        """(sup |w_zbar - mu w_z|, L2 norm of h over the disk, w~(1/z),
+        the residual field) of the truncated map on the exterior nodes of
+        rule, from one evaluation of each of w~ and h there.
+
+        The residual is -h(1/z) / (zbar^2 w~(1/z)^2), with 1/z running
+        over the conjugated disk nodes; the norm is
+        sqrt(2 pi / M sum_k w_k sum_j |h_kj|^2) by the rule's weights w_k
+        and its M angles."""
         # in place where it can be: on the solver's rule every fresh
         # array is a fresh mapping of pages; the nodes are shared and
         # read-only
@@ -247,28 +239,30 @@ class _SeriesState:
         wt = self.interior.eval_rule(rule, conjugate=True)
         wt.real += disk.real
         wt.imag -= disk.imag
-        if self.h.is_zero:
-            field = np.zeros(disk.shape, dtype=complex)
-        else:
-            field = self.h.eval_rule(rule, conjugate=True)
-            np.negative(field, out=field)
-            field *= np.square(disk)
-            field /= wt * wt
-        self.grid_w_tilde, self.grid_residual = wt, field
-        return float(np.max(np.abs(field)))
+        field = self.h.eval_rule(rule, conjugate=True)
+        flat = field.view(float)
+        ring = np.einsum("kj,kj->k", flat, flat)
+        l2 = math.sqrt(2.0 * math.pi / rule.angular_count
+                       * float(pairwise_dot(rule.radial_weights, ring).real))
+        np.negative(field, out=field)
+        field *= np.square(disk)
+        field /= wt * wt
+        return float(np.max(np.abs(field))), l2, wt, field
 
 
 def _run_series(nu: BiPoly, sup_mu: float, tol: float, rule: QuadRule,
-                probe_rule: QuadRule, max_terms: int) -> _SeriesState:
+                probe_rule: QuadRule, max_terms: int):
+    """The Neumann series to a residual of at most tol on rule: the
+    state with residual_sup's sup, w~(1/z) and field on rule."""
     state = _SeriesState(nu)
-    norm_rule = QuadRule(24, 48)
     prev = None
     cap = min(0.95, _CONTRACTION_CAP * max(sup_mu, 1e-30))
     while True:
-        hn = _l2_disk(state.h, norm_rule)
-        if hn == 0.0 or state.residual_sup(probe_rule) <= 0.3 * tol:
-            if state.residual_sup(rule) <= tol:
-                return state
+        probe, hn, _, _ = state.residual_sup(probe_rule)
+        if probe <= 0.3 * tol:
+            residual, _, wt, field = state.residual_sup(rule)
+            if residual <= tol:
+                return state, residual, wt, field
         if prev is not None and prev > 0.0:
             ratio = hn / prev
             state.ratios.append(ratio)
@@ -323,31 +317,16 @@ def _reflect(z):
 
 def _phi_eval(phi, w, deriv: bool = False):
     """Phi(w) = A1 w exp(h(w)) with h = sum_k c_k w^-k, and with deriv
-    also Phi'(w) = Phi(w) (1/w + h'(w)), in one pass.
-
-    Both sums run by Horner in place: on the solver's grids a fresh
-    array per coefficient would be a fresh mapping of pages."""
+    also Phi'(w) = Phi(w) (1/w + h'(w)); h is a principal part, summed
+    by eval_principal."""
     a1, c = phi
     w = np.asarray(w, dtype=complex)
-    iw = 1.0 / w
-    h = np.zeros(w.shape, dtype=complex)
-    kh = np.zeros(w.shape, dtype=complex) if deriv else None
-    for k in range(c.size, 0, -1):
-        h += c[k - 1]
-        h *= iw
-        if deriv:
-            kh += k * c[k - 1]
-            kh *= iw
-    out = np.exp(h, out=h)
+    out = np.exp(eval_principal(c, w))
     out *= w
     out *= a1
     if not deriv:
         return out
-    # 1/w + h' = (1 - sum_k k c_k w^-k) / w
-    np.subtract(1.0, kh, out=kh)
-    kh *= iw
-    kh *= out
-    return out, kh
+    return out, out * (1.0 / w + eval_principal(_tail_derivative(c), w))
 
 
 @dataclass(frozen=True)
@@ -561,16 +540,14 @@ def solve_beltrami(mu: BeltramiField, normalization: str = "ModelB",
     nu, fit_resid = _nu_from_mu(mu, _FIT_DEGREES)
     # Model A dressing scales the residual by |mhat' Phi'|, so leave margin
     eff_tol = tol if normalization == "ModelB" else 0.25 * tol
-    state = _run_series(nu, sup, eff_tol, rule, QuadRule(12, 24), max_terms)
-    # the stopping test last sampled the series on the solver rule
-    res_field = state.grid_residual
-    residual = float(np.max(np.abs(res_field)))
+    state, residual, wt, res_field = _run_series(nu, sup, eff_tol, rule,
+                                                 QuadRule(12, 24), max_terms)
     c_eff = max(state.ratios) / sup if (state.ratios and sup > 0) else 0.0
 
     shell = QCMap(grid=(), mu=mu, normalization="ModelB",
                   seriesTermCount=state.terms, residualNorm=residual,
                   _series=state)
-    ext_vals = 1.0 / state.grid_w_tilde
+    ext_vals = 1.0 / wt
 
     if normalization == "ModelB":
         # w = 1/w~(1/z) = 1/(1/z + sum_p tail[p] z^(p+1)) on the disk nodes,

@@ -1,11 +1,14 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "fingerprint", Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py")
+_SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
+_SPEC = importlib.util.spec_from_file_location("fingerprint", _SCRIPT)
 fingerprint = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(fingerprint)
 
@@ -46,3 +49,18 @@ def test_main_prints_each_family(capsys):
     for i in heads:
         assert out[i + 1].split()[0] == "outputs" and len(out[i + 1].split()[1]) == 64
         assert out[i + 2].split()[0] == "decisions"
+
+
+def test_digests_do_not_read_the_blas_threads():
+    # the Model A outputs round differently on two OpenBLAS threads; the
+    # script pins one before numpy loads, so the environment cannot move
+    # a digest
+    def digests(threads):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, str(_SCRIPT), "--seeds", "1"], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        return [line for line in out.splitlines() if line.split()[0] in ("outputs", "decisions")]
+
+    pinned = digests("1")
+    assert len(pinned) == 2 * len(fingerprint.FAMILIES)
+    assert digests("2") == pinned

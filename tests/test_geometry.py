@@ -227,17 +227,6 @@ class TestMoebius:
             image = m.apply(circle)
             assert np.max(np.abs(np.abs(image) - 1.0)) < 1e-12
 
-    def test_compose_and_inverse(self):
-        ms = list(random_moebius(6))
-        zs = random_disk_points(10)
-        for m1, m2 in zip(ms[:3], ms[3:]):
-            comp = m1.compose(m2)
-            for z in zs:
-                assert comp(complex(z)) == pytest.approx(m1(m2(complex(z))), rel=1e-12)
-            ident = m1.compose(m1.inverse())
-            for z in zs:
-                assert ident(complex(z)) == pytest.approx(complex(z), abs=1e-12)
-
     def test_derivative_chain(self):
         for m in random_moebius(5):
             z = complex(random_disk_points(1)[0])

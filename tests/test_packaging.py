@@ -84,10 +84,9 @@ def test_shared_tables_are_read_only():
     from utkit.geometry import Domain
 
     rule = quadrature.QuadRule(12, 24)
-    log_powers, powers = _bipoly._ring_powers(rule)
     tables = [rule.nodes(), rule.nodes(Domain.EXTERIOR_DISK),
               *quadrature.gauss_radial(12), series._sup_weight(),
-              _bipoly._cauchy_kernel(3)(-1, 5), log_powers(0, 4), powers(-1, 9)]
+              _bipoly._cauchy_kernel(3, -1, 6), _bipoly._ring_powers(rule, 4, -1, 10)]
     assert rule.nodes() is quadrature.QuadRule(12, 24).nodes()
     for table in tables:
         with pytest.raises(ValueError):

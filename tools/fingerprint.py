@@ -36,6 +36,9 @@ number of terms.  The families:
   the table radius nearest 0.9917 with tol 1e-6; and G 1 = 1 at 16 radii
   below the table's outermost radius 1 - 3.5e-4
 
+BLAS runs on one thread whatever the environment sets, as in the
+benchmark, so that the digests depend on the code alone.
+
 ``--seeds N`` keeps the first N seeds of each family and the first N basis
 products (all radial fields, F4 and G 1 always run).  Failure messages are
 grouped with their numbers blanked out; ``-v`` lists each failure in full.
@@ -45,12 +48,19 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import re
 import sys
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
+# BLAS on one thread before numpy loads it, as the benchmark runs: the
+# Model A outputs round differently with two OpenBLAS threads, and the
+# digests should read the code, not the environment
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
