@@ -271,61 +271,53 @@ class MoebiusMap:
 
     # -- evaluation ------------------------------------------------------------
 
+    def _points(self, z):
+        """The one path of ``apply`` and ``derivative``: z as an array with
+        infinity replaced by 0 (so inf * 0 stays out of a z + b), the mask
+        of infinity, the denominators conj(b) z + conj(a), and the mask of
+        the pole: a zero denominator, or the rounded -conj(a)/conj(b),
+        where the denominator can round to about 1e-17 instead."""
+        z = np.asarray(z, dtype=complex)
+        if np.isnan(z).any():
+            raise NonFiniteValue("NaN is not a point of the sphere")
+        inf = np.isinf(z)
+        z = np.where(inf, 0.0, z)
+        den = np.conj(self.b) * z + np.conj(self.a)
+        pole = den == 0
+        if self.b != 0:
+            pole |= z == -np.conj(self.a) / np.conj(self.b)
+        return z, inf, den, pole
+
     def apply(self, z):
         """Evaluate at a complex number, ndarray, or DiskPoint.
 
-        Infinity maps to a/conj(b); the pole -conj(a)/conj(b) maps to
-        infinity; NaN raises ``NonFiniteValue``.  Arrays are handled entrywise.
+        Every input takes the array path (a scalar returns as ``complex``).
+        Infinity maps to a/conj(b); the pole, where the denominator is 0 or
+        z is the rounded -conj(a)/conj(b), maps to infinity; NaN raises
+        ``NonFiniteValue``.
         """
         if isinstance(z, DiskPoint):
             return DiskPoint(self.apply(z.value), z.domain)
-        if isinstance(z, np.ndarray):
-            if np.isnan(z).any():
-                raise NonFiniteValue("NaN is not a point of the sphere")
-            inf = np.isinf(z)
-            if inf.any():
-                # a finite stand-in keeps inf * 0 out of a z + b
-                return np.where(inf, self.apply(INF), self.apply(np.where(inf, 0.0, z)))
-            den = np.conj(self.b) * z + np.conj(self.a)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = (self.a * z + self.b) / den
-            return np.where(den == 0, INF, out)
-        z = _check_not_nan(complex(z))
-        if cmath.isinf(z):
-            if self.b == 0:
-                return INF
-            return self.a / self.b.conjugate()
-        den = self.b.conjugate() * z + self.a.conjugate()
-        if den == 0:
-            return INF
-        return (self.a * z + self.b) / den
+        z, inf, den, pole = self._points(z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = (self.a * z + self.b) / den
+        at_inf = self.a / self.b.conjugate() if self.b != 0 else INF
+        out = np.where(inf, at_inf, np.where(pole, INF, out))
+        return out if out.ndim else complex(out)
 
     def __call__(self, z):
         return self.apply(z)
 
     def derivative(self, z):
-        """Complex derivative 1/(conj(b) z + conj(a))^2; 0 at infinity, or
-        1/conj(a)^2 when b = 0.  The pole raises ``CriticalPoint`` and NaN
-        ``NonFiniteValue``.  Arrays are handled entrywise."""
+        """Complex derivative 1/(conj(b) z + conj(a))^2 on the path of
+        ``apply``; 0 at infinity, or 1/conj(a)^2 when b = 0.  The pole, as
+        ``apply`` takes it, raises ``CriticalPoint`` and NaN
+        ``NonFiniteValue``."""
         if isinstance(z, DiskPoint):
             z = z.value
-        if isinstance(z, np.ndarray):
-            if np.isnan(z).any():
-                raise NonFiniteValue("NaN is not a point of the sphere")
-            inf = np.isinf(z)
-            if inf.any():
-                return np.where(inf, self.derivative(INF),
-                                self.derivative(np.where(inf, 0.0, z)))
-            den = np.conj(self.b) * z + np.conj(self.a)
-            if (den == 0).any():
-                raise CriticalPoint("derivative requested at the pole of the map")
-            return 1.0 / np.square(den)
-        z = _check_not_nan(complex(z))
-        if cmath.isinf(z):
-            if self.b == 0:
-                return 1.0 / self.a.conjugate() ** 2
-            return 0.0
-        den = self.b.conjugate() * z + self.a.conjugate()
-        if den == 0:
+        z, inf, den, pole = self._points(z)
+        if pole.any():
             raise CriticalPoint("derivative requested at the pole of the map")
-        return 1.0 / (den * den)
+        at_inf = 1.0 / self.a.conjugate() ** 2 if self.b == 0 else 0.0
+        out = np.where(inf, at_inf, 1.0 / np.square(den))
+        return out if out.ndim else complex(out)

@@ -36,7 +36,7 @@ from .errors import (
     NormTooLarge,
 )
 from .geometry import Domain, MoebiusMap
-from .quadrature import GridFunction, QuadRule, _mode_profiles
+from .quadrature import GridFunction, QuadRule, _interpolation, _mode_profiles, _radial_maps
 from .series import BeltramiField, HoloCoeffs
 
 __all__ = [
@@ -95,7 +95,7 @@ def _disk_transform(h: GridFunction, z, order: int) -> complex:
         raise DomainMismatch("the transforms take densities on the disk")
     z = complex(z)
     r = abs(z)
-    modes, s, ds, profiles, at_r = _mode_profiles(h, r)
+    modes, s, ds, profiles = _mode_profiles(h, r)
     inside = s < r
     hi = np.maximum(s, r)
     # outside r, d/dz's (r/s)^(n-1) / r is taken as (r/s)^(n-2) / s, finite
@@ -108,6 +108,10 @@ def _disk_transform(h: GridFunction, z, order: int) -> complex:
     theta = np.angle(z)
     out = np.exp(1j * (modes - 1 - order) * theta) @ (sums * (modes - 1.0) ** order)
     if order and 0.0 < r <= 1.0:
+        # the kept modes of h at r, through the rule's radii
+        radii, lam, _ = _radial_maps(h.rule.radial_nodes)
+        rings = np.fft.fft(h.values, axis=1)[:, modes] / h.rule.angular_count
+        at_r = (_interpolation(np.array([r]), radii, lam) @ rings)[0]
         out += np.exp(1j * (modes - 2) * theta) @ at_r
     return complex(out)
 
@@ -649,15 +653,13 @@ def bers_embedding(mu: BeltramiField, *, tol: float = 1e-9,
     solution, as Taylor coefficients on the disk."""
     qc = solve_beltrami(mu, "ModelB", tol,
                         rule=rule if rule is not None else QuadRule(24, 48))
-    a = _taylor_from_tail(qc._series.tail, truncation + 4)
-    count = truncation + 2
+    # S(f) = u' - u^2/2 with u = f''/f', which S needs to degree count
+    count = truncation + 1
+    a = _taylor_from_tail(qc._series.tail, count + 1)
     n = np.arange(a.size, dtype=float)
-    f1 = ((n + 1.0) * a)[:count + 1]
-    f2 = ((n + 1.0) * n * a)[1:count + 2]
-    f3 = ((n + 1.0) * n * (n - 1.0) * a)[2:count + 3]
-    u = _poly_div_trunc(f2, f1, count)
-    s = _poly_div_trunc(f3, f1, count) - 1.5 * np.convolve(u, u)[:count + 1]
-    return HoloCoeffs(Domain.UNIT_DISK, s[:truncation + 1])
+    u = _poly_div_trunc(((n + 1.0) * n * a)[1:], ((n + 1.0) * a)[:count + 1], count)
+    s = n[1:count + 1] * u[1:] - 0.5 * np.convolve(u, u)[:count]
+    return HoloCoeffs(Domain.UNIT_DISK, s)
 
 
 # -- conformal welding --------------------------------------------------

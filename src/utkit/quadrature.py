@@ -4,7 +4,8 @@ The base rule crosses a Gauss rule for the radial measure r dr on (0, 1)
 with uniform angles, so monomials r^a e^{i m theta} integrate exactly up to
 the rule's order in both factors.  Exterior integrals are pulled back to the
 disk through z -> 1/conj(z); the hyperbolic area form is invariant under
-that inversion, which is why one rule serves both sides.
+that inversion, which is why one rule serves both sides.  Every callable,
+here and in ``apply_resolvent``, is sampled by ``GridFunction.from_callable``.
 
 Kernels handed to ``integrate_double``, singular on the diagonal, use one
 windowed rule: the node sum is weighted by a C^2 window that vanishes at
@@ -21,8 +22,8 @@ through ``_mode_profiles``: one FFT per ring splits it into modes, and each
 mode's radial profile, the polynomial through the rule's radii, is taken on
 the mode table's radial rule, whose panel that holds abs(z) is cut at
 abs(z), where the mode kernels have their kink.  ``apply_resolvent`` sums
-the profiles against the closed-form Ghat_p of ``modes``; a callable is
-sampled on the nodes of its rule and takes the same path.  On profiles the
+the profiles against the closed-form Ghat_p of ``modes``, a callable's
+through its samples on the nodes of its rule.  On profiles the
 rule's radii reproduce (the products of basis fields, constants) the value
 is exact to rounding up to abs(z) = 1 - 3.5e-4, the table's outermost
 radius.  ``qc_solver.cauchy_transform`` and ``beurling_transform`` sum the
@@ -150,22 +151,21 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, f, rule: QuadRule, domain: Domain) -> "GridFunction":
+        """Samples of a vectorized callable on the nodes of ``rule``; a result
+        of another shape, a constant say, is broadcast to the nodes'."""
         z = rule.nodes(domain)
-        return cls(rule, domain, np.asarray(f(z), dtype=complex))
+        vals = np.asarray(f(z), dtype=complex)
+        if vals.shape != z.shape:
+            vals = np.broadcast_to(vals, z.shape).copy()
+        return cls(rule, domain, vals)
 
     def nodes(self):
         return self.rule.nodes(self.domain)
 
 
-def _evaluate(f, z):
-    vals = f(z)
-    arr = np.asarray(vals, dtype=complex)
-    if arr.shape != z.shape:
-        arr = np.broadcast_to(arr, z.shape).astype(complex)
-    return arr
-
-
-def _require_decay_certificate(measure: str, certified_decay: bool):
+def _check_measure(measure: str, certified_decay: bool):
+    if measure not in ("euclidean", "hyperbolic"):
+        raise ValueError(f"unknown measure {measure!r}")
     if measure == "hyperbolic" and not certified_decay:
         raise QuadratureFailure(
             "hyperbolic-measure integrals diverge unless the integrand decays "
@@ -173,30 +173,34 @@ def _require_decay_certificate(measure: str, certified_decay: bool):
         )
 
 
-def _check_measure(measure: str):
-    if measure not in ("euclidean", "hyperbolic"):
-        raise ValueError(f"unknown measure {measure!r}")
+def _area_density(w, measure: str, domain: Domain):
+    """Density at the disk points w of the area form on ``domain``: the
+    hyperbolic form, which the inversion w -> 1/conj(w) keeps, or the
+    Euclidean one, on the exterior pulled back through it as abs(w)^-4."""
+    if measure == "hyperbolic":
+        return 4.0 / np.square(1.0 - np.abs(w) ** 2)
+    if domain is Domain.EXTERIOR_DISK:
+        return 1.0 / np.abs(w) ** 4
+    return np.ones(np.shape(w))
+
+
+def _integrate(f, rule: QuadRule | None, domain: Domain, measure: str,
+               certified_decay: bool) -> complex:
+    """Integral over ``domain`` of a callable or GridFunction, as the sum
+    over the disk nodes of weight x _area_density x sample."""
+    _check_measure(measure, certified_decay)
+    if not isinstance(f, GridFunction):
+        f = GridFunction.from_callable(f, rule or QuadRule(), domain)
+    elif f.domain is not domain:
+        raise DomainMismatch("grid function lives on the wrong domain")
+    w = f.rule.node_weights() * _area_density(f.rule.nodes(Domain.UNIT_DISK), measure, domain)
+    return pairwise_dot(w, f.values)
 
 
 def integrate_disk(f, rule: QuadRule | None = None, measure: str = "euclidean",
                    *, certified_decay: bool = False) -> complex:
     """Integral over the unit disk of a callable or GridFunction."""
-    _check_measure(measure)
-    _require_decay_certificate(measure, certified_decay)
-    if isinstance(f, GridFunction):
-        if f.domain is not Domain.UNIT_DISK:
-            raise DomainMismatch("grid function lives on the wrong domain")
-        rule = f.rule
-        z = rule.nodes(Domain.UNIT_DISK)
-        vals = f.values
-    else:
-        rule = rule or QuadRule()
-        z = rule.nodes(Domain.UNIT_DISK)
-        vals = _evaluate(f, z)
-    w = np.array(rule.node_weights(), dtype=float)
-    if measure == "hyperbolic":
-        w = w * (4.0 / np.square(1.0 - np.abs(z) ** 2))
-    return pairwise_dot(w, vals)
+    return _integrate(f, rule, Domain.UNIT_DISK, measure, certified_decay)
 
 
 def integrate_exterior(f, rule: QuadRule | None = None,
@@ -208,24 +212,7 @@ def integrate_exterior(f, rule: QuadRule | None = None,
     the pullback weight |w|^-4 makes that explicit.  Hyperbolic measure is
     inversion invariant, so exterior samples pair with disk-side densities.
     """
-    _check_measure(measure)
-    _require_decay_certificate(measure, certified_decay)
-    if isinstance(f, GridFunction):
-        if f.domain is not Domain.EXTERIOR_DISK:
-            raise DomainMismatch("grid function lives on the wrong domain")
-        rule = f.rule
-        vals = f.values
-        wdisk = rule.nodes(Domain.UNIT_DISK)
-    else:
-        rule = rule or QuadRule()
-        wdisk = rule.nodes(Domain.UNIT_DISK)
-        vals = _evaluate(f, 1.0 / np.conj(wdisk))
-    w = np.array(rule.node_weights(), dtype=float)
-    if measure == "hyperbolic":
-        w = w * (4.0 / np.square(1.0 - np.abs(wdisk) ** 2))
-    else:
-        w = w / np.abs(wdisk) ** 4
-    return pairwise_dot(w, vals)
+    return _integrate(f, rule, Domain.EXTERIOR_DISK, measure, certified_decay)
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +244,12 @@ def _radial_maps(radial_nodes: int):
 
 
 def _mode_profiles(f: GridFunction, r: float):
-    """(modes n, nodes s, weights ds, profiles on s, profiles at min(r, 1))
-    of a disk grid function: one FFT per ring, the modes below 64 eps
-    sup abs(f) in every ring dropped, and each mode's profile, the
-    polynomial through the rule's radii, taken on the mode table's radial
-    rule with the panel that holds min(r, 1) cut there (ds is 0 on the
-    panel's own nodes).  Non-finite samples raise NonFiniteValue."""
+    """(modes n, nodes s, weights ds, profiles on s) of a disk grid
+    function: one FFT per ring, the modes below 64 eps sup abs(f) in every
+    ring dropped, and each mode's profile, the polynomial through the
+    rule's radii, taken on the mode table's radial rule with the panel
+    that holds min(r, 1) cut there (ds is 0 on the panel's own nodes).
+    Non-finite samples raise NonFiniteValue."""
     values = check_finite(f.values, "integrand sample")
     m = f.rule.angular_count
     rings = np.fft.fft(values, axis=1) / m
@@ -284,12 +271,12 @@ def _mode_profiles(f: GridFunction, r: float):
     # the cut panel's nodes replace the panel's
     ds = np.concatenate([table.weights, (width * table.wg).ravel()])
     ds[panel * table.xg.size:(panel + 1) * table.xg.size] = 0.0
-    # each kept mode's radial profile on s and at r, on (Re, Im) lanes
+    # each kept mode's radial profile on s, on (Re, Im) lanes
     lanes = np.ascontiguousarray(rings[:, keep]).view(float)
     profiles = np.concatenate([to_nodes @ lanes, _interpolation(
-        np.append(cut, r), radii, lam) @ lanes]).view(complex)
+        cut, radii, lam) @ lanes]).view(complex)
     modes = np.fft.fftfreq(m, 1.0 / m).astype(int)[keep]
-    return modes, np.concatenate([table.s, cut]), ds, profiles[:-1], profiles[-1]
+    return modes, np.concatenate([table.s, cut]), ds, profiles
 
 
 def _apply_resolvent_grid(f: GridFunction, z: complex, domain: Domain) -> complex:
@@ -301,7 +288,7 @@ def _apply_resolvent_grid(f: GridFunction, z: complex, domain: Domain) -> comple
     if domain is Domain.EXTERIOR_DISK:
         z = 0.0 if not np.isfinite(z) else 1.0 / np.conj(z)
     r = abs(z)
-    modes, s, ds, profiles, _ = _mode_profiles(f, r)
+    modes, s, ds, profiles = _mode_profiles(f, r)
     # ds times rho(s) s
     weights = ds * (4.0 * s / np.square((1.0 - s) * (1.0 + s)))
     ghat = np.array([mode_kernel(int(p), r, s) for p in modes]).reshape(-1, s.size)
@@ -310,8 +297,7 @@ def _apply_resolvent_grid(f: GridFunction, z: complex, domain: Domain) -> comple
 
 
 def _apply_resolvent_callable(f, z: complex, domain: Domain, rule: QuadRule) -> complex:
-    samples = GridFunction(rule, domain, _evaluate(f, rule.nodes(domain)))
-    return _apply_resolvent_grid(samples, z, domain)
+    return _apply_resolvent_grid(GridFunction.from_callable(f, rule, domain), z, domain)
 
 
 def apply_resolvent(f, z: DiskPoint, rule: QuadRule | None = None, *,
@@ -328,8 +314,7 @@ def apply_resolvent(f, z: DiskPoint, rule: QuadRule | None = None, *,
     """
     if isinstance(f, GridFunction):
         return _apply_resolvent_grid(f, z.value, z.domain)
-    if rule is None:
-        rule = QuadRule()
+    rule = rule or QuadRule()
     val = _apply_resolvent_callable(f, z.value, z.domain, rule)
     if tol is not None:
         ref = _apply_resolvent_callable(
@@ -426,28 +411,18 @@ def integrate_double(kernel, rule: QuadRule, domain: Domain = Domain.UNIT_DISK,
     e^{i theta_j}.  This is the generic O(n^2) reference path; the
     mode-reduced engine is the fast route for rotation-symmetric kernels.
     """
-    _check_measure(measure)
-    _require_decay_certificate(measure, certified_decay)
+    _check_measure(measure, certified_decay)
     if domain is Domain.EXTERIOR_DISK:
         outer_kernel = kernel
         kernel = lambda z, w: outer_kernel(1.0 / np.conj(z), 1.0 / np.conj(w))
     elif domain is not Domain.UNIT_DISK:
         raise DomainMismatch("double integrals cover the disk and its exterior")
 
-    def density(w):
-        # area density on the disk: hyperbolic, Euclidean, or the Euclidean
-        # form of the exterior pulled back through the inversion
-        if measure == "hyperbolic":
-            return 4.0 / np.square(1.0 - np.abs(w) ** 2)
-        if domain is Domain.EXTERIOR_DISK:
-            return 1.0 / np.abs(w) ** 4
-        return np.ones(np.shape(w))
-
     nodes = rule.nodes(Domain.UNIT_DISK)
     nr, m = nodes.shape
     n = nodes.size
     flat_pts = nodes.ravel()
-    flat_w = np.array(rule.node_weights(), dtype=float).ravel() * density(flat_pts)
+    flat_w = (rule.node_weights() * _area_density(nodes, measure, domain)).ravel()
     turns = np.exp(1j * rule.angles)
     delta = rule.patch_radius
     rows = min(m, max(1, _DOUBLE_BLOCK // max(n, _PATCH_T.size * _PATCH_DIRS.size)))
@@ -458,7 +433,7 @@ def integrate_double(kernel, rule: QuadRule, domain: Domain = Domain.UNIT_DISK,
         shifted = np.lib.stride_tricks.sliding_window_view(
             np.concatenate([window, window], axis=1), m, axis=1).transpose(1, 0, 2)
         pw, pweights = _local_polar_rule(r, delta)
-        pweights = pweights * density(pw)
+        pweights = pweights * _area_density(pw, measure, domain)
         for start in range(0, m, rows):
             stop = min(start + rows, m)
             j = np.arange(start, stop)

@@ -209,16 +209,6 @@ class BeltramiField:
         n = self.n_values
         return float(2.0 * math.pi * np.sum(_weights(n) * np.abs(self.a) ** 2))
 
-    def reflect(self) -> "BeltramiField":
-        """Mirror through the circle: conj(mu(1/conj(z))) z^2 / conj(z)^2."""
-        other = Domain.EXTERIOR_DISK if self.domain is Domain.UNIT_DISK \
-            else Domain.UNIT_DISK
-        if self.is_harmonic:
-            return BeltramiField.harmonic(other, np.conj(self.a))
-        nodes = self.grid.rule.nodes(other)
-        vals = np.conj(self.grid.values) * nodes**2 / np.conj(nodes) ** 2
-        return BeltramiField.sampled(GridFunction(self.grid.rule, other, vals))
-
     def iota_star(self) -> "BeltramiField":
         """Pullback under the holomorphic inversion z -> 1/z (linear in mu)."""
         other = Domain.EXTERIOR_DISK if self.domain is Domain.UNIT_DISK \

@@ -245,9 +245,8 @@ class TestMoebius:
         assert not np.isfinite(abs(rot.apply(INF)))
 
     def test_array_with_infinity_matches_scalar_path(self):
-        # real coefficients put the pole's denominator at 0 on both paths;
-        # numpy's complex product can leave it at 1e-17 where Python's is 0
-        for m in (MoebiusMap(1.25, 0.75), MoebiusMap.rotation(0.7)):
+        for m in (MoebiusMap(1.25, 0.75), MoebiusMap(2.0, 1.0 + 0.5j),
+                  MoebiusMap.rotation(0.7)):
             pole = -np.conj(m.a) / np.conj(m.b) if m.b != 0 else 0.5j
             zs = np.array([INF, pole, 0.3 - 0.2j])
             with warnings.catch_warnings():
@@ -255,6 +254,8 @@ class TestMoebius:
                 got = m.apply(zs)
             for z, w in zip(zs, got):
                 assert w == pytest.approx(m.apply(complex(z)), rel=1e-15)
+            if m.b != 0:
+                assert got[1] == INF and m.apply(complex(pole)) == INF
 
     def test_nan_raises(self):
         m = MoebiusMap(1.2, 0.3 + 0.1j)
@@ -282,14 +283,14 @@ class TestMoebius:
                     m.derivative(nan)
                 with pytest.raises(NonFiniteValue):
                     m.derivative(np.array([0.2, nan]))
-        m = MoebiusMap(1.25, 0.75)
-        pole = -np.conj(m.a) / np.conj(m.b)
-        with pytest.raises(CriticalPoint):
-            m.derivative(complex(pole))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+        for m in (MoebiusMap(1.25, 0.75), MoebiusMap(2.0, 1.0 + 0.5j)):
+            pole = -np.conj(m.a) / np.conj(m.b)
             with pytest.raises(CriticalPoint):
-                m.derivative(np.array([0.3, pole]))
+                m.derivative(complex(pole))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(CriticalPoint):
+                    m.derivative(np.array([0.3, pole]))
 
     def test_through_points(self):
         ps = [np.exp(1j * t) for t in (2.9, -1.2, 0.4)]

@@ -153,9 +153,21 @@ class TestGridFunction:
 
     def test_grid_integral_matches_callable(self):
         rule = QuadRule(radial_nodes=12, angular_count=16)
-        f = lambda z: (1 - np.abs(z) ** 2) ** 2 * np.exp(z)
-        gf = GridFunction.from_callable(f, rule, Domain.UNIT_DISK)
-        assert integrate_disk(gf) == integrate_disk(f, rule)
+        disk = lambda z: (1 - np.abs(z) ** 2) ** 2 * np.exp(z)
+        ext = lambda z: (np.abs(z) ** 2 - 1) ** 2 / np.abs(z) ** 8 * np.exp(1.0 / z)
+        for integrate, f, domain in ((integrate_disk, disk, Domain.UNIT_DISK),
+                                     (integrate_exterior, ext, Domain.EXTERIOR_DISK)):
+            gf = GridFunction.from_callable(f, rule, domain)
+            for measure in ("euclidean", "hyperbolic"):
+                assert integrate(gf, measure=measure, certified_decay=True) \
+                    == integrate(f, rule, measure, certified_decay=True)
+
+    def test_constant_callable_broadcasts_on_both_domains(self):
+        rule = QuadRule(6, 8)
+        for domain in (Domain.UNIT_DISK, Domain.EXTERIOR_DISK):
+            gf = GridFunction.from_callable(lambda z: 1.0, rule, domain)
+            assert np.array_equal(gf.values, np.ones((6, 8)))
+            assert gf.values.flags.writeable
 
     def test_exterior_grid_nodes_are_inversions(self):
         rule = QuadRule(radial_nodes=5, angular_count=8)

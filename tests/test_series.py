@@ -155,22 +155,6 @@ class TestBeltramiField:
             assert got.real == pytest.approx(want, rel=1e-10)
             assert abs(got.imag) < 1e-12 * want
 
-    def test_reflect_pointwise(self):
-        mu2 = basis_mu(2, 3)
-        ref = mu2.reflect()
-        assert ref.domain is Domain.UNIT_DISK
-        z = 0.5 + 0.0j
-        expected = np.conj(complex(mu2(np.asarray(1.0 / np.conj(z))))) \
-            * z**2 / np.conj(z) ** 2
-        assert complex(ref(np.asarray(z))) == pytest.approx(complex(expected))
-
-    def test_reflect_involution_and_sup(self):
-        mu = random_field(5)
-        back = mu.reflect().reflect()
-        assert back.domain is mu.domain
-        assert np.allclose(back.a, mu.a)
-        assert mu.reflect().sup_norm() == pytest.approx(mu.sup_norm(), rel=1e-12)
-
     def test_iota_star_pointwise(self):
         mu = random_field(4)
         pulled = mu.iota_star()
@@ -178,15 +162,6 @@ class TestBeltramiField:
         expected = complex(mu(np.asarray(1.0 / z))) * z**2 / np.conj(z) ** 2
         assert complex(pulled(np.asarray(z))) == pytest.approx(expected, rel=1e-12)
         assert np.array_equal(pulled.a, mu.a)
-
-    def test_sampled_reflect_matches_harmonic(self):
-        mu = random_field(4)
-        rule = QuadRule(16, 32)
-        samp = BeltramiField.sampled(
-            GridFunction.from_callable(mu, rule, Domain.EXTERIOR_DISK))
-        ref = samp.reflect()
-        direct = mu.reflect()(rule.nodes(Domain.UNIT_DISK))
-        assert np.allclose(ref.grid.values, direct, atol=1e-12)
 
     def test_sampled_iota_star_matches_harmonic(self):
         mu = random_field(4)
@@ -296,7 +271,7 @@ class TestTransforms:
 
     def test_d0_beta_domain_check(self):
         with pytest.raises(DomainMismatch):
-            d0_beta(basis_mu(2, 3).reflect())
+            d0_beta(basis_mu(2, 3).iota_star())
 
 
 @settings(max_examples=25, derandomize=True)
