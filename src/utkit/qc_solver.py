@@ -12,11 +12,12 @@ Grid samples on the disk are transformed mode by mode (cauchy_transform,
 beurling_transform); the solver's iterates go through the exact term
 algebra.  Term-algebra densities are evaluated by the points asked for:
 on the nodes of a polar rule with one FFT per ring (BiPoly.eval_rule),
-at arbitrary points (QCMap.evaluate and derivatives) with polyval2d
-(BiPoly.eval).  The series is evaluated on two rules only: each iterate
-once on a coarse probe rule, which gives both its residual and its L2
-norm, and on the solver's rule when the probe passes, which gives the
-residual that is reported and the grid samples.
+at arbitrary points (_SeriesState.w, which QCMap.evaluate and the Model A
+dressing use) with polyval2d (BiPoly.eval).  The series is evaluated on
+two rules only: each iterate once on a coarse probe rule, which gives
+both its residual and its L2 norm, and on the solver's rule when the
+probe passes, which gives the residual that is reported and the grid
+samples.
 """
 
 from __future__ import annotations
@@ -201,7 +202,8 @@ def _nu_from_mu(mu: BeltramiField, degrees):
 class _SeriesState:
     """Accumulated Neumann data: w~(zeta) = zeta + interior(zeta) on the
     disk, zeta + principal tail outside, and the next iterate h, which
-    is identically the residual density of the truncation."""
+    is identically the residual density of the truncation.  w evaluates
+    the Model B map they define at arbitrary points."""
 
     def __init__(self, nu: BiPoly):
         self.nu = nu
@@ -221,11 +223,22 @@ class _SeriesState:
         self.h = (self.nu * pk.dz()).prune()
         self.terms += 1
 
-    def w_tilde(self, zeta):
-        return zeta + self.interior.eval(zeta)
-
-    def w_tilde_ext(self, zeta):
-        return eval_principal(self.tail, zeta) + zeta
+    def w(self, z):
+        """The Model B map w(z) = 1/w~(1/z) at the points of the array z:
+        through the principal tail inside the disk, where w(0) = 0, and
+        through the interior density outside it."""
+        z = np.asarray(z, dtype=complex)
+        out = np.zeros(z.shape, dtype=complex)
+        inside = np.abs(z) <= 1.0
+        pick = inside & (z != 0)
+        if pick.any():
+            zeta = 1.0 / z[pick]
+            out[pick] = 1.0 / (eval_principal(self.tail, zeta) + zeta)
+        zout = z[~inside]
+        if zout.size:
+            zeta = 1.0 / zout
+            out[~inside] = 1.0 / (zeta + self.interior.eval(zeta))
+        return out
 
     def residual_sup(self, rule: QuadRule):
         """(sup |w_zbar - mu w_z|, L2 norm of h over the disk, w~(1/z),
@@ -353,54 +366,8 @@ class QCMap:
     _series: _SeriesState = field(default=None, repr=False)
     _dress: dict = field(default=None, repr=False)
 
-    @property
-    def rule(self) -> QuadRule:
-        return self.grid[0].rule
-
-    # Model B evaluation: w(z) = 1/w~(1/z) with w~ from the series
-    def _eval_b(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros(z.shape, dtype=complex)
-        inside = np.abs(z) <= 1.0
-        pick = inside & (z != 0)
-        if pick.any():
-            out[pick] = 1.0 / self._series.w_tilde_ext(1.0 / z[pick])
-        zout = z[~inside]
-        if zout.size:
-            out[~inside] = 1.0 / self._series.w_tilde(1.0 / zout)
-        return out
-
-    def _derivs_b(self, z):
-        """(w_z, w_zbar) of the Model B map."""
-        z = np.asarray(z, dtype=complex)
-        wz = np.empty(z.shape, dtype=complex)
-        wzb = np.zeros(z.shape, dtype=complex)
-        inside = np.abs(z) <= 1.0
-        zin = z[inside]
-        if zin.size:
-            vals = np.ones(zin.shape, dtype=complex)
-            nz = zin != 0
-            zeta = 1.0 / zin[nz]
-            wt = self._series.w_tilde_ext(zeta)
-            dwt = 1.0 + eval_principal(_tail_derivative(self._series.tail), zeta)
-            vals[nz] = dwt / (zin[nz] ** 2 * wt**2)
-            wz[inside] = vals
-        zout = z[~inside]
-        if zout.size:
-            zeta = 1.0 / zout
-            wt = self._series.w_tilde(zeta)
-            dz_wt = 1.0 + self._series.interior.dz().eval(zeta)
-            dzb_wt = self._series.interior.dzbar().eval(zeta)
-            wz[~inside] = dz_wt / (zout**2 * wt**2)
-            wzb[~inside] = dzb_wt / (np.conj(zout) ** 2 * wt**2)
-        return wz, wzb
-
     def _dressed(self, wb):
         return self._dress["mhat"].apply(_phi_eval(self._dress["phi"], wb))
-
-    def _dressed_deriv(self, wb):
-        inner, dinner = _phi_eval(self._dress["phi"], wb, deriv=True)
-        return self._dress["mhat"].derivative(inner) * dinner
 
     def _eval_a(self, z):
         z = np.asarray(z, dtype=complex)
@@ -408,37 +375,11 @@ class QCMap:
         outside = np.abs(z) >= 1.0
         zo = z[outside]
         if zo.size:
-            out[outside] = self._dressed(self._eval_b(zo))
+            out[outside] = self._dressed(self._series.w(zo))
         zi = z[~outside]
         if zi.size:
-            out[~outside] = 1.0 / np.conj(self._dressed(self._eval_b(_reflect(zi))))
+            out[~outside] = 1.0 / np.conj(self._dressed(self._series.w(_reflect(zi))))
         return out
-
-    def _derivs_a(self, z):
-        z = np.asarray(z, dtype=complex)
-        wz = np.empty(z.shape, dtype=complex)
-        wzb = np.empty(z.shape, dtype=complex)
-        outside = np.abs(z) >= 1.0
-        zo = z[outside]
-        if zo.size:
-            chain = self._dressed_deriv(self._eval_b(zo))
-            bz, bzb = self._derivs_b(zo)
-            wz[outside] = chain * bz
-            wzb[outside] = chain * bzb
-        zi = z[~outside]
-        if zi.size:
-            sigma = _reflect(zi)
-            wb = self._eval_b(sigma)
-            chain = self._dressed_deriv(wb)
-            bz, bzb = self._derivs_b(sigma)
-            wa = self._dressed(wb)
-            # scale-safe denominators: z^2 conj(W)^2 = conj(W/sigma)^2
-            # and zbar^2 conj(W)^2 = (conj(W)/sigma)^2 at sigma = 1/zbar
-            d1 = np.conj(wa / sigma) ** 2
-            d2 = (np.conj(wa) / sigma) ** 2
-            wz[~outside] = np.conj(chain * bz) / d1
-            wzb[~outside] = np.conj(chain * bzb) / d2
-        return wz, wzb
 
     def evaluate(self, z):
         """w at arbitrary points (scalar or ndarray)."""
@@ -446,31 +387,17 @@ class QCMap:
         scalar = z.ndim == 0
         flat = z.reshape(-1)
         vals = self._eval_a(flat) if self.normalization == "ModelA" \
-            else self._eval_b(flat)
+            else self._series.w(flat)
         vals = vals.reshape(z.shape)
         return complex(vals) if scalar else vals
 
-    __call__ = evaluate
 
-    def derivatives(self, z):
-        """(w_z, w_zbar) at arbitrary points."""
-        z = np.asarray(z, dtype=complex)
-        scalar = z.ndim == 0
-        flat = z.reshape(-1)
-        wz, wzb = (self._derivs_a(flat) if self.normalization == "ModelA"
-                   else self._derivs_b(flat))
-        wz, wzb = wz.reshape(z.shape), wzb.reshape(z.shape)
-        if scalar:
-            return complex(wz), complex(wzb)
-        return wz, wzb
-
-
-def _interior_jets(qc: QCMap) -> dict:
-    """Numerical jets of w at 0 read off a small circle, independently
-    of the series bookkeeping that enforces them."""
+def _interior_jets(w) -> dict:
+    """Numerical jets at 0 of the evaluator w, read off a small circle,
+    independently of the series bookkeeping that enforces them."""
     r = 1e-2
     pts = r * np.exp(2j * math.pi * np.arange(8) / 8)
-    modes = np.fft.fft(qc._eval_b(pts)) / 8
+    modes = np.fft.fft(w(pts)) / 8
     return {
         "w(0)": float(abs(modes[0])),
         "w'(0)-1": float(abs(modes[1] / r - 1.0)),
@@ -529,12 +456,12 @@ def _exterior_riemann(boundary, k_neg: int):
 
 
 def solve_beltrami(mu: BeltramiField, normalization: str = "ModelB",
-                   tol: float = 1e-8, *, rule: QuadRule | None = None,
-                   max_terms: int = _MAX_TERMS) -> QCMap:
+                   tol: float = 1e-8, *, rule: QuadRule | None = None) -> QCMap:
     """Solve w_zbar = mu w_z for a dilatation supported on the exterior
     disk, normalized per Model A (fixes -1, -i, 1; symmetric under
     circle reflection) or Model B (conformal inside with w(0) = 0,
-    w'(0) = 1, w''(0) = 0)."""
+    w'(0) = 1, w''(0) = 0).  Raises NoConvergence past _MAX_TERMS
+    series terms."""
     if normalization not in ("ModelA", "ModelB"):
         raise ValueError(f"unknown normalization {normalization!r}")
     sup = mu.sup_norm()
@@ -545,12 +472,9 @@ def solve_beltrami(mu: BeltramiField, normalization: str = "ModelB",
     # Model A dressing scales the residual by |mhat' Phi'|, so leave margin
     eff_tol = tol if normalization == "ModelB" else 0.25 * tol
     state, residual, wt, res_field = _run_series(nu, sup, eff_tol, rule,
-                                                 QuadRule(12, 24), max_terms)
+                                                 QuadRule(12, 24), _MAX_TERMS)
     c_eff = max(state.ratios) / sup if (state.ratios and sup > 0) else 0.0
 
-    shell = QCMap(grid=(), mu=mu, normalization="ModelB",
-                  seriesTermCount=state.terms, residualNorm=residual,
-                  _series=state)
     ext_vals = 1.0 / wt
 
     if normalization == "ModelB":
@@ -560,7 +484,7 @@ def solve_beltrami(mu: BeltramiField, normalization: str = "ModelB",
         disk_vals = BiPoly(state.tail[None, :, None], 1, 0).eval_rule(rule)
         disk_vals += 1.0 / rule.nodes()
         np.divide(1.0, disk_vals, out=disk_vals)
-        checks = _interior_jets(shell)
+        checks = _interior_jets(state.w)
         checks["contractionFactor"] = c_eff
         return QCMap(
             grid=(GridFunction(rule, Domain.UNIT_DISK, disk_vals),
@@ -574,11 +498,11 @@ def solve_beltrami(mu: BeltramiField, normalization: str = "ModelB",
     # image domain, then a disk automorphism pinning -1, -i, 1
     m_samples = 4 * rule.angular_count
     circle = np.exp(2j * math.pi * np.arange(m_samples) / m_samples)
-    boundary = shell._eval_b(circle)
+    boundary = state.w(circle)
     # small rules have fewer samples than the full fit has unknowns
     k_neg = min(_PHI_TRUNCATION, (m_samples - 2) // 2)
     phi, phi_resid = _exterior_riemann(boundary, k_neg)
-    anchors = shell._eval_b(np.array([-1.0 + 0j, -1j, 1.0 + 0j]))
+    anchors = state.w(np.array([-1.0 + 0j, -1j, 1.0 + 0j]))
     phi_anchor = _phi_eval(phi, anchors)
     phi_anchor = phi_anchor / np.abs(phi_anchor)
     targets = np.array([-1.0 + 0j, -1j, 1.0 + 0j])

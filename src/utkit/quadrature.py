@@ -159,9 +159,6 @@ class GridFunction:
             vals = np.broadcast_to(vals, z.shape).copy()
         return cls(rule, domain, vals)
 
-    def nodes(self):
-        return self.rule.nodes(self.domain)
-
 
 def _check_measure(measure: str, certified_decay: bool):
     if measure not in ("euclidean", "hyperbolic"):

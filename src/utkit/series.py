@@ -203,12 +203,6 @@ class BeltramiField:
                 self._sup = float(np.max(np.abs(self.grid.values)))
         return self._sup
 
-    def l2_norm_sq(self) -> float:
-        if not self.is_harmonic:
-            raise DomainMismatch("closed-form norm requires a harmonic field")
-        n = self.n_values
-        return float(2.0 * math.pi * np.sum(_weights(n) * np.abs(self.a) ** 2))
-
     def iota_star(self) -> "BeltramiField":
         """Pullback under the holomorphic inversion z -> 1/z (linear in mu)."""
         other = Domain.EXTERIOR_DISK if self.domain is Domain.UNIT_DISK \
@@ -266,18 +260,19 @@ def d0_beta(mu: BeltramiField, truncation: int | None = None, *,
             method: str = "auto", rule: QuadRule | None = None) -> HoloCoeffs:
     """Differential of the boundary map at the origin, as disk coefficients.
 
-    Harmonic inputs transform algebraically: c_(n-2) = (n^3 - n) a_n.  The
-    quadrature route expands the kernel 1/(zeta - z)^4 in moments
-    M_k = integral of mu(zeta) zeta^(-k-4) over the exterior and is the
-    independent path for sampled fields and cross-checks.  On the exterior
-    nodes e^{i theta} / r, zeta^(-k-4) = r^(k+4) e^{-i (k+4) theta}, so one
-    FFT per ring gives every moment.
+    With method "auto", harmonic inputs transform algebraically:
+    c_(n-2) = (n^3 - n) a_n.  The quadrature route, which method
+    "quadrature" takes for them too, expands the kernel 1/(zeta - z)^4 in
+    moments M_k = integral of mu(zeta) zeta^(-k-4) over the exterior and
+    is the independent path for sampled fields and cross-checks.  On the
+    exterior nodes e^{i theta} / r, zeta^(-k-4) = r^(k+4) e^{-i (k+4) theta},
+    so one FFT per ring gives every moment.
     """
-    if method not in ("auto", "closed", "quadrature"):
+    if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
     if mu.domain is not Domain.EXTERIOR_DISK:
         raise DomainMismatch("the origin differential acts on exterior fields")
-    if mu.is_harmonic and method in ("auto", "closed"):
+    if mu.is_harmonic and method == "auto":
         c = _weights(mu.n_values) * mu.a
         if truncation is not None:
             out = np.zeros(truncation + 1, dtype=complex)
@@ -285,8 +280,6 @@ def d0_beta(mu: BeltramiField, truncation: int | None = None, *,
             out[:m] = c[:m]
             c = out
         return HoloCoeffs(Domain.UNIT_DISK, c)
-    if method == "closed":
-        raise DomainMismatch("closed form needs a harmonic field")
     n_out = truncation if truncation is not None else 15
     if mu.is_harmonic:
         # sampled once per rule; the finer rule gates the moments
