@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._bipoly import BiPoly, eval_principal
-from ._util import pairwise_dot
+from ._util import check_finite, pairwise_dot
 from .errors import (
     CriticalPoint,
     DomainMismatch,
@@ -268,9 +268,9 @@ class _SeriesState:
 
 
 def _run_series(nu: BiPoly, sup_mu: float, tol: float, rule: QuadRule,
-                probe_rule: QuadRule, max_terms: int):
-    """The Neumann series to a residual of at most tol on rule: the
-    state with residual_sup's sup, w~(1/z) and field on rule."""
+                probe_rule: QuadRule):
+    """The Neumann series to a residual of at most tol on rule within
+    _MAX_TERMS terms: the state with residual_sup's outputs on rule."""
     state = _SeriesState(nu)
     prev = None
     cap = min(0.95, _CONTRACTION_CAP * max(sup_mu, 1e-30))
@@ -286,7 +286,7 @@ def _run_series(nu: BiPoly, sup_mu: float, tol: float, rule: QuadRule,
             if state.terms >= 3 and ratio > cap:
                 raise NoConvergence(
                     f"series ratio {ratio:.3f} broke the contraction bound {cap:.3f}")
-        if state.terms >= max_terms:
+        if state.terms >= _MAX_TERMS:
             raise NoConvergence(
                 f"Beltrami residual above {tol:.1e} after {state.terms} terms")
         prev = hn
@@ -460,10 +460,15 @@ def solve_beltrami(mu: BeltramiField, normalization: str = "ModelB",
     """Solve w_zbar = mu w_z for a dilatation supported on the exterior
     disk, normalized per Model A (fixes -1, -i, 1; symmetric under
     circle reflection) or Model B (conformal inside with w(0) = 0,
-    w'(0) = 1, w''(0) = 0).  Raises NoConvergence past _MAX_TERMS
-    series terms."""
+    w'(0) = 1, w''(0) = 0).  Raises ValueError unless 0 < tol < inf,
+    NonFiniteValue on a non-finite coefficient or sample of mu, and
+    NoConvergence past _MAX_TERMS series terms."""
     if normalization not in ("ModelA", "ModelB"):
         raise ValueError(f"unknown normalization {normalization!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, not {tol!r}")
+    check_finite(mu.a if mu.is_harmonic else mu.grid.values,
+                 "dilatation coefficient or sample")
     sup = mu.sup_norm()
     if sup > 0.5 + 1e-12:
         raise NormTooLarge(f"sup|mu| = {sup:.4f} exceeds the solver cap 0.5")
@@ -471,8 +476,7 @@ def solve_beltrami(mu: BeltramiField, normalization: str = "ModelB",
     nu, fit_resid = _nu_from_mu(mu, _FIT_DEGREES)
     # Model A dressing scales the residual by |mhat' Phi'|, so leave margin
     eff_tol = tol if normalization == "ModelB" else 0.25 * tol
-    state, residual, wt, res_field = _run_series(nu, sup, eff_tol, rule,
-                                                 QuadRule(12, 24), _MAX_TERMS)
+    state, residual, wt, res_field = _run_series(nu, sup, eff_tol, rule, QuadRule(12, 24))
     c_eff = max(state.ratios) / sup if (state.ratios and sup > 0) else 0.0
 
     ext_vals = 1.0 / wt
@@ -570,12 +574,11 @@ def schwarzian(f, z):
     return complex(out) if scalar else out
 
 
-def bers_embedding(mu: BeltramiField, *, tol: float = 1e-9,
-                   truncation: int = 40,
+def bers_embedding(mu: BeltramiField, *, truncation: int = 40,
                    rule: QuadRule | None = None) -> HoloCoeffs:
     """Schwarzian of the interior conformal restriction of the Model B
-    solution, as Taylor coefficients on the disk."""
-    qc = solve_beltrami(mu, "ModelB", tol,
+    solution to a residual of 1e-9, as Taylor coefficients on the disk."""
+    qc = solve_beltrami(mu, "ModelB", 1e-9,
                         rule=rule if rule is not None else QuadRule(24, 48))
     # S(f) = u' - u^2/2 with u = f''/f', which S needs to degree count
     count = truncation + 1

@@ -33,6 +33,7 @@ same profiles against the Cauchy kernel's radial factors.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -71,14 +72,16 @@ def gauss_radial(n: int):
 class QuadRule:
     """Product rule: radial Gauss rule for r dr times uniform angles.
 
-    ``angular_count`` must be even and at least 8.  Node weights sum to pi,
-    the area of the unit disk.
+    The counts are integers, stored as int; ``angular_count`` must be even
+    and at least 8.  Node weights sum to pi, the area of the unit disk.
     """
 
     radial_nodes: int = 64
     angular_count: int = 128
 
     def __post_init__(self):
+        object.__setattr__(self, "radial_nodes", operator.index(self.radial_nodes))
+        object.__setattr__(self, "angular_count", operator.index(self.angular_count))
         if self.radial_nodes < 2:
             raise ValueError("need at least two radial nodes")
         if self.angular_count < 8 or self.angular_count % 2:
@@ -116,12 +119,10 @@ class QuadRule:
         )
 
     @property
-    def spacing(self) -> float:
-        return max(1.0 / (self.radial_nodes + 1), TWO_PI / self.angular_count)
-
-    @property
     def patch_radius(self) -> float:
-        return 2.0 * self.spacing
+        """Radius of integrate_double's near-diagonal patch: twice the
+        larger of the radial and angular node spacings."""
+        return 2.0 * max(1.0 / (self.radial_nodes + 1), TWO_PI / self.angular_count)
 
 
 @lru_cache(maxsize=16)
@@ -160,16 +161,6 @@ class GridFunction:
         return cls(rule, domain, vals)
 
 
-def _check_measure(measure: str, certified_decay: bool):
-    if measure not in ("euclidean", "hyperbolic"):
-        raise ValueError(f"unknown measure {measure!r}")
-    if measure == "hyperbolic" and not certified_decay:
-        raise QuadratureFailure(
-            "hyperbolic-measure integrals diverge unless the integrand decays "
-            "like (1-|z|^2)^2 at the circle; pass certified_decay=True to assert that"
-        )
-
-
 def _area_density(w, measure: str, domain: Domain):
     """Density at the disk points w of the area form on ``domain``: the
     hyperbolic form, which the inversion w -> 1/conj(w) keeps, or the
@@ -185,7 +176,13 @@ def _integrate(f, rule: QuadRule | None, domain: Domain, measure: str,
                certified_decay: bool) -> complex:
     """Integral over ``domain`` of a callable or GridFunction, as the sum
     over the disk nodes of weight x _area_density x sample."""
-    _check_measure(measure, certified_decay)
+    if measure not in ("euclidean", "hyperbolic"):
+        raise ValueError(f"unknown measure {measure!r}")
+    if measure == "hyperbolic" and not certified_decay:
+        raise QuadratureFailure(
+            "hyperbolic-measure integrals diverge unless the integrand decays "
+            "like (1-|z|^2)^2 at the circle; pass certified_decay=True to assert that"
+        )
     if not isinstance(f, GridFunction):
         f = GridFunction.from_callable(f, rule or QuadRule(), domain)
     elif f.domain is not domain:
@@ -380,10 +377,10 @@ def _local_polar_rule(z, delta: float):
 _DOUBLE_BLOCK = 1 << 15
 
 
-def integrate_double(kernel, rule: QuadRule, domain: Domain = Domain.UNIT_DISK,
-                     measure: str = "hyperbolic", *,
-                     certified_decay: bool = True) -> complex:
-    """Double integral of kernel(z, w) over domain x domain.
+def integrate_double(kernel, rule: QuadRule, domain: Domain = Domain.UNIT_DISK) -> complex:
+    """Double integral of kernel(z, w) dA(z) dA(w) over domain x domain,
+    with dA = 4 / (1 - abs(z)^2)^2 d^2z the hyperbolic area form in both
+    variables, which the inversion z -> 1/conj(z) keeps.
 
     The kernel must broadcast like a ufunc over both arguments, be finite
     off the diagonal, and be at worst logarithmically singular on it.  For
@@ -408,7 +405,6 @@ def integrate_double(kernel, rule: QuadRule, domain: Domain = Domain.UNIT_DISK,
     e^{i theta_j}.  This is the generic O(n^2) reference path; the
     mode-reduced engine is the fast route for rotation-symmetric kernels.
     """
-    _check_measure(measure, certified_decay)
     if domain is Domain.EXTERIOR_DISK:
         outer_kernel = kernel
         kernel = lambda z, w: outer_kernel(1.0 / np.conj(z), 1.0 / np.conj(w))
@@ -419,7 +415,7 @@ def integrate_double(kernel, rule: QuadRule, domain: Domain = Domain.UNIT_DISK,
     nr, m = nodes.shape
     n = nodes.size
     flat_pts = nodes.ravel()
-    flat_w = (rule.node_weights() * _area_density(nodes, measure, domain)).ravel()
+    flat_w = (rule.node_weights() * _area_density(nodes, "hyperbolic", domain)).ravel()
     turns = np.exp(1j * rule.angles)
     delta = rule.patch_radius
     rows = min(m, max(1, _DOUBLE_BLOCK // max(n, _PATCH_T.size * _PATCH_DIRS.size)))
@@ -430,7 +426,7 @@ def integrate_double(kernel, rule: QuadRule, domain: Domain = Domain.UNIT_DISK,
         shifted = np.lib.stride_tricks.sliding_window_view(
             np.concatenate([window, window], axis=1), m, axis=1).transpose(1, 0, 2)
         pw, pweights = _local_polar_rule(r, delta)
-        pweights = pweights * _area_density(pw, measure, domain)
+        pweights = pweights * _area_density(pw, "hyperbolic", domain)
         for start in range(0, m, rows):
             stop = min(start + rows, m)
             j = np.arange(start, stop)

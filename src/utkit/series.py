@@ -1,10 +1,8 @@
 """Coefficient-space representations of holomorphic densities and harmonic
 Beltrami fields, with the maps between them.
 
-Two coefficient conventions live here.  A disk-side holomorphic function is
-a Taylor polynomial phi(z) = sum c_k z^k; an exterior one is the Laurent
-tail phi(z) = sum c_k z^(-k-4), the natural decay class for quadratic
-densities at infinity.  Harmonic Beltrami fields on the exterior disk are
+Holomorphic densities live on the disk, as Taylor polynomials
+phi(z) = sum c_k z^k.  Harmonic Beltrami fields on the exterior disk are
 stored through their Lambda-side coefficients a_n (n >= 2), so that
 
     mu(z) = -(1/2) (1 - |z|^2)^2 sum_n (n^3 - n) a_n conj(z)^(-n-2)
@@ -53,54 +51,24 @@ def _as_coeff_array(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HoloCoeffs:
-    """Truncated holomorphic function in one of the two power conventions."""
+    """Truncated Taylor polynomial on the unit disk."""
 
     domain: Domain
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.domain not in (Domain.UNIT_DISK, Domain.EXTERIOR_DISK):
-            raise DomainMismatch("holomorphic coefficients live on a disk side")
+        if self.domain is not Domain.UNIT_DISK:
+            raise DomainMismatch("holomorphic coefficients live on the unit disk")
         object.__setattr__(self, "coeffs", _as_coeff_array(self.coeffs))
 
-    @property
-    def truncation(self) -> int:
-        return self.coeffs.size - 1
-
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        if self.domain is Domain.UNIT_DISK:
-            return np.polynomial.polynomial.polyval(z, self.coeffs)
-        inv = 1.0 / z
-        return np.polynomial.polynomial.polyval(inv, self.coeffs) * inv**4
-
-    def derivative(self) -> "HoloCoeffs":
-        if self.domain is Domain.UNIT_DISK:
-            if self.coeffs.size == 1:
-                return HoloCoeffs(self.domain, np.zeros(1, dtype=complex))
-            return HoloCoeffs(self.domain, np.polynomial.polynomial.polyder(self.coeffs))
-        # d/dz z^(-k-4) = (-k-4) z^(-(k+1)-4)
-        out = np.zeros(self.coeffs.size + 1, dtype=complex)
-        k = np.arange(self.coeffs.size)
-        out[1:] = (-(k + 4.0)) * self.coeffs
-        return HoloCoeffs(self.domain, out)
-
-    def weighted_values(self, z) -> np.ndarray:
-        """(1 - |z|^2)^2 |phi(z)|, the integrand of the weighted sup."""
-        z = np.asarray(z, dtype=complex)
-        return np.square(1.0 - np.abs(z) ** 2) * np.abs(self(z))
+        return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), self.coeffs)
 
     def sup_norm(self) -> float:
-        """Weighted sup-norm over the function's side of the circle.
-
-        Grid maximum plus the analytic limit at the far boundary: zero at
-        the circle for both conventions, |c_0| at infinity for the exterior
-        convention.
-        """
-        w = _SUP_RULE.nodes(self.domain)
-        grid = float(np.max(self.weighted_values(w)))
-        if self.domain is Domain.EXTERIOR_DISK:
-            return max(grid, abs(self.coeffs[0]))
+        """Weighted sup of (1 - |z|^2)^2 |phi(z)| over the disk: the grid
+        maximum, or |phi(0)| if larger; the weight vanishes at the circle."""
+        w = _SUP_RULE.nodes(Domain.UNIT_DISK)
+        grid = float(np.max(np.square(1.0 - np.abs(w) ** 2) * np.abs(self(w))))
         center = float(abs(self(np.zeros(1, dtype=complex))[0]))
         return max(grid, center)
 
@@ -156,13 +124,6 @@ class BeltramiField:
     @property
     def is_harmonic(self) -> bool:
         return self.a is not None
-
-    @property
-    def truncation(self) -> int:
-        """Number of stored basis indices (n runs from 2 to truncation+1)."""
-        if not self.is_harmonic:
-            raise DomainMismatch("sampled fields carry no coefficient truncation")
-        return self.a.size
 
     @property
     def n_values(self) -> np.ndarray:
@@ -250,14 +211,12 @@ def harmonic_inner(mu: BeltramiField, nu: BeltramiField) -> complex:
 def lambda_map(phi: HoloCoeffs) -> BeltramiField:
     """Weight map from disk-side holomorphic data to a harmonic field on the
     exterior: mu(z) = -(1/2)(1 - |z|^2)^2 phi(1/conj(z)) conj(z)^-4."""
-    if phi.domain is not Domain.UNIT_DISK:
-        raise DomainMismatch("the weight map expects disk-side coefficients")
     n = np.arange(2, phi.coeffs.size + 2)
     return BeltramiField.harmonic(Domain.EXTERIOR_DISK, phi.coeffs / _weights(n))
 
 
 def d0_beta(mu: BeltramiField, truncation: int | None = None, *,
-            method: str = "auto", rule: QuadRule | None = None) -> HoloCoeffs:
+            method: str = "auto") -> HoloCoeffs:
     """Differential of the boundary map at the origin, as disk coefficients.
 
     With method "auto", harmonic inputs transform algebraically:
@@ -266,7 +225,13 @@ def d0_beta(mu: BeltramiField, truncation: int | None = None, *,
     moments M_k = integral of mu(zeta) zeta^(-k-4) over the exterior and
     is the independent path for sampled fields and cross-checks.  On the
     exterior nodes e^{i theta} / r, zeta^(-k-4) = r^(k+4) e^{-i (k+4) theta},
-    so one FFT per ring gives every moment.
+    so one FFT per ring gives every moment.  A harmonic field is sampled on
+    QuadRule() and on QuadRule(80, 128), and the two must agree.
+
+    Moment k reads FFT bin (k + 4) mod M of a rule with M angles, so it is
+    exact only while k + 4 < M for a harmonic field, and k + 4 < M / 2 for
+    a sampled field with modes of both signs; past that the moment aliases,
+    and nothing checks for it.
     """
     if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
@@ -283,9 +248,8 @@ def d0_beta(mu: BeltramiField, truncation: int | None = None, *,
     n_out = truncation if truncation is not None else 15
     if mu.is_harmonic:
         # sampled once per rule; the finer rule gates the moments
-        rule = rule or QuadRule()
-        grids = [GridFunction.from_callable(mu, r, mu.domain) for r in (
-            rule, QuadRule(rule.radial_nodes + 16, rule.angular_count))]
+        grids = [GridFunction.from_callable(mu, r, mu.domain)
+                 for r in (QuadRule(), QuadRule(80, 128))]
     else:
         grids = [mu.grid]
     k = np.arange(n_out + 1)

@@ -25,7 +25,7 @@ def test_console_script_targets_import():
         assert callable(obj), name
 
 
-# reserved for the curvature function of ROADMAP item 4
+# reserved for the curvature function of ROADMAP item 1
 UNRAISED_BY_DESIGN = {"DegenerateSection"}
 
 

@@ -316,12 +316,33 @@ class TestSolveBeltrami:
         with pytest.raises(NoConvergence):
             solve_beltrami(mu, "ModelB", 1e-8, rule=rule)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        # 0, -1 and NaN ran until a contraction bound broke; inf took no term
+        with pytest.raises(ValueError, match="tolerance"):
+            solve_beltrami(harmonic([0.1 * A2_UNIT]), "ModelB", tol)
+
+    def test_non_finite_mu_names_its_cause(self):
+        # a NaN sample made sup|mu| NaN, which passed the norm cap, and the
+        # sampled field then solved as mu = 0
+        rule = QuadRule(32, 64)
+        ext = rule.nodes(Domain.EXTERIOR_DISK)
+        values = 0.2 * ext / np.conj(ext)
+        values[5, 7] = np.nan
+        sampled = BeltramiField.sampled(GridFunction(rule, Domain.EXTERIOR_DISK, values))
+        for mu in (sampled, harmonic([0.1 * A2_UNIT, np.nan])):
+            for normalization in ("ModelA", "ModelB"):
+                with pytest.raises(NonFiniteValue, match="dilatation"):
+                    solve_beltrami(mu, normalization, rule=rule)
+            with pytest.raises(NonFiniteValue, match="dilatation"):
+                bers_embedding(mu)
+
     def test_contraction_guard(self):
         # a density far larger than the claimed sup must trip the ratio cap
         nu = BiPoly.from_term(0.8, 1, 1) + BiPoly.from_term(0.5, 2, 0)
         rule = QuadRule(8, 16)
         with pytest.raises(NoConvergence):
-            _run_series(nu, 0.01, 1e-12, rule, rule, 50)
+            _run_series(nu, 0.01, 1e-12, rule, rule)
 
     def test_series_is_evaluated_on_two_rules(self, monkeypatch):
         # each iterate once on the probe rule, which gives both its residual

@@ -59,6 +59,17 @@ class TestRadialRule:
         with pytest.raises(ValueError):
             QuadRule(angular_count=33)
 
+    def test_counts_are_integers(self):
+        # a float count built radii of another length than radial_nodes
+        # said; an integer of any type keys the node and radial caches as
+        # the plain int does
+        for counts in [(10.5, 16), (64, 128.0)]:
+            with pytest.raises(TypeError):
+                QuadRule(*counts)
+        rule = QuadRule(np.int64(64), 128)
+        assert rule == QuadRule() and hash(rule) == hash(QuadRule())
+        assert type(rule.radial_nodes) is int
+
 
 class TestIntegrals:
     def test_area(self):
