@@ -212,35 +212,9 @@ class MoebiusMap:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def identity(cls) -> "MoebiusMap":
-        return cls(1.0, 0.0)
-
-    @classmethod
     def rotation(cls, phi: float) -> "MoebiusMap":
         # (a/conj(a)) z = e^{i phi} z
         return cls(cmath.exp(0.5j * phi), 0.0)
-
-    @classmethod
-    def from_matrix(cls, m, tol: float = 1e-8) -> "MoebiusMap":
-        """Project a GL(2, C) matrix onto (a, b) form.
-
-        The matrix must be circle preserving up to ``tol`` after determinant
-        normalization; the symmetrized entries are renormalized exactly.
-        """
-        m = np.asarray(m, dtype=complex)
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if det == 0:
-            raise DomainMismatch("singular matrix")
-        m = m / np.sqrt(det)
-        a = 0.5 * (m[0, 0] + np.conj(m[1, 1]))
-        b = 0.5 * (m[0, 1] + np.conj(m[1, 0]))
-        resid = max(
-            abs(m[0, 0] - np.conj(m[1, 1])),
-            abs(m[0, 1] - np.conj(m[1, 0])),
-        )
-        if resid > tol:
-            raise DomainMismatch(f"matrix is not circle preserving (residual {resid:.2e})")
-        return cls(complex(a), complex(b))
 
     @staticmethod
     def _to_zero_one_inf(z1, z2, z3):
@@ -260,14 +234,29 @@ class MoebiusMap:
         """The unique Moebius map with the three given point conditions.
 
         Both triples may contain infinity.  The result must preserve the unit
-        circle, which holds whenever both triples lie on it.
+        circle, which holds whenever both triples lie on it: after
+        determinant normalization the matrix must be of (a, b) form up to
+        ``tol``, and its symmetrized entries are renormalized exactly.
         """
         ms = cls._to_zero_one_inf(*[_check_not_nan(complex(z)) for z in sources])
         mt = cls._to_zero_one_inf(*[_check_not_nan(complex(z)) for z in targets])
         inv_t = np.array(
             [[mt[1, 1], -mt[0, 1]], [-mt[1, 0], mt[0, 0]]], dtype=complex
         )
-        return cls.from_matrix(inv_t @ ms, tol=tol)
+        m = inv_t @ ms
+        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        if det == 0:
+            raise DomainMismatch("singular matrix")
+        m = m / np.sqrt(det)
+        a = 0.5 * (m[0, 0] + np.conj(m[1, 1]))
+        b = 0.5 * (m[0, 1] + np.conj(m[1, 0]))
+        resid = max(
+            abs(m[0, 0] - np.conj(m[1, 1])),
+            abs(m[0, 1] - np.conj(m[1, 0])),
+        )
+        if resid > tol:
+            raise DomainMismatch(f"matrix is not circle preserving (residual {resid:.2e})")
+        return cls(complex(a), complex(b))
 
     # -- evaluation ------------------------------------------------------------
 

@@ -37,7 +37,7 @@ from .errors import (
     NormTooLarge,
 )
 from .geometry import Domain, MoebiusMap
-from .quadrature import GridFunction, QuadRule, _interpolation, _mode_profiles, _radial_maps
+from .quadrature import GridFunction, QuadRule, _mode_profiles
 from .series import BeltramiField, HoloCoeffs
 
 __all__ = [
@@ -96,7 +96,7 @@ def _disk_transform(h: GridFunction, z, order: int) -> complex:
         raise DomainMismatch("the transforms take densities on the disk")
     z = complex(z)
     r = abs(z)
-    modes, s, ds, profiles = _mode_profiles(h, r)
+    modes, s, ds, profiles, at_r = _mode_profiles(h, r)
     inside = s < r
     hi = np.maximum(s, r)
     # outside r, d/dz's (r/s)^(n-1) / r is taken as (r/s)^(n-2) / s, finite
@@ -109,10 +109,6 @@ def _disk_transform(h: GridFunction, z, order: int) -> complex:
     theta = np.angle(z)
     out = np.exp(1j * (modes - 1 - order) * theta) @ (sums * (modes - 1.0) ** order)
     if order and 0.0 < r <= 1.0:
-        # the kept modes of h at r, through the rule's radii
-        radii, lam, _ = _radial_maps(h.rule.radial_nodes)
-        rings = np.fft.fft(h.values, axis=1)[:, modes] / h.rule.angular_count
-        at_r = (_interpolation(np.array([r]), radii, lam) @ rings)[0]
         out += np.exp(1j * (modes - 2) * theta) @ at_r
     return complex(out)
 

@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._util import check_finite, gauss_legendre_01, pairwise_dot, tree_sum
+from ._util import check_finite, gauss_legendre_01, pairwise_dot
 from .errors import DomainMismatch, QuadratureFailure
 from .geometry import DiskPoint, Domain
 from .modes import mode_kernel, mode_table
@@ -161,52 +161,41 @@ class GridFunction:
         return cls(rule, domain, vals)
 
 
-def _area_density(w, measure: str, domain: Domain):
-    """Density at the disk points w of the area form on ``domain``: the
-    hyperbolic form, which the inversion w -> 1/conj(w) keeps, or the
-    Euclidean one, on the exterior pulled back through it as abs(w)^-4."""
-    if measure == "hyperbolic":
-        return 4.0 / np.square(1.0 - np.abs(w) ** 2)
-    if domain is Domain.EXTERIOR_DISK:
-        return 1.0 / np.abs(w) ** 4
-    return np.ones(np.shape(w))
+def _area_density(w):
+    """Density 4 / (1 - abs(w)^2)^2 of the hyperbolic area form at the disk
+    points w, which the inversion w -> 1/conj(w) keeps."""
+    return 4.0 / np.square(1.0 - np.abs(w) ** 2)
 
 
-def _integrate(f, rule: QuadRule | None, domain: Domain, measure: str,
-               certified_decay: bool) -> complex:
-    """Integral over ``domain`` of a callable or GridFunction, as the sum
-    over the disk nodes of weight x _area_density x sample."""
-    if measure not in ("euclidean", "hyperbolic"):
-        raise ValueError(f"unknown measure {measure!r}")
-    if measure == "hyperbolic" and not certified_decay:
-        raise QuadratureFailure(
-            "hyperbolic-measure integrals diverge unless the integrand decays "
-            "like (1-|z|^2)^2 at the circle; pass certified_decay=True to assert that"
-        )
+def _integrate(f, rule: QuadRule | None, domain: Domain) -> complex:
+    """Euclidean integral over ``domain`` of a callable or GridFunction, as
+    the sum over the disk nodes of weight x sample, on the exterior pulled
+    back through w -> 1/conj(w) with the density abs(w)^-4."""
     if not isinstance(f, GridFunction):
         f = GridFunction.from_callable(f, rule or QuadRule(), domain)
     elif f.domain is not domain:
         raise DomainMismatch("grid function lives on the wrong domain")
-    w = f.rule.node_weights() * _area_density(f.rule.nodes(Domain.UNIT_DISK), measure, domain)
+    w = f.rule.node_weights()
+    if domain is Domain.EXTERIOR_DISK:
+        w = w * (1.0 / np.abs(f.rule.nodes(Domain.UNIT_DISK)) ** 4)
     return pairwise_dot(w, f.values)
 
 
-def integrate_disk(f, rule: QuadRule | None = None, measure: str = "euclidean",
-                   *, certified_decay: bool = False) -> complex:
-    """Integral over the unit disk of a callable or GridFunction."""
-    return _integrate(f, rule, Domain.UNIT_DISK, measure, certified_decay)
+def integrate_disk(f, rule: QuadRule | None = None) -> complex:
+    """Euclidean integral over the unit disk of a callable or GridFunction,
+    sampled on ``rule`` (default ``QuadRule()``); the tests' reference."""
+    return _integrate(f, rule, Domain.UNIT_DISK)
 
 
-def integrate_exterior(f, rule: QuadRule | None = None,
-                       measure: str = "euclidean", *,
-                       certified_decay: bool = False) -> complex:
-    """Integral over the exterior of the circle, pulled back to the disk.
+def integrate_exterior(f, rule: QuadRule | None = None) -> complex:
+    """Euclidean integral over the exterior of the circle, pulled back to
+    the disk; the tests' reference.
 
-    Euclidean measure requires |f| = O(|z|^-4) at infinity for convergence;
-    the pullback weight |w|^-4 makes that explicit.  Hyperbolic measure is
-    inversion invariant, so exterior samples pair with disk-side densities.
+    Convergence requires |f| = O(|z|^-4) at infinity; the pullback weight
+    |w|^-4 makes that explicit.  A hyperbolic-measure integral multiplies
+    the integrand by 4 / (1 - |z|^2)^2 first.
     """
-    return _integrate(f, rule, Domain.EXTERIOR_DISK, measure, certified_decay)
+    return _integrate(f, rule, Domain.EXTERIOR_DISK)
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +227,12 @@ def _radial_maps(radial_nodes: int):
 
 
 def _mode_profiles(f: GridFunction, r: float):
-    """(modes n, nodes s, weights ds, profiles on s) of a disk grid
-    function: one FFT per ring, the modes below 64 eps sup abs(f) in every
-    ring dropped, and each mode's profile, the polynomial through the
-    rule's radii, taken on the mode table's radial rule with the panel
-    that holds min(r, 1) cut there (ds is 0 on the panel's own nodes).
-    Non-finite samples raise NonFiniteValue."""
+    """(modes n, nodes s, weights ds, profiles on s, profiles at min(r, 1))
+    of a disk grid function: one FFT per ring, the modes below 64 eps sup
+    abs(f) in every ring dropped, and each mode's profile, the polynomial
+    through the rule's radii, taken on the mode table's radial rule with
+    the panel that holds min(r, 1) cut there (ds is 0 on the panel's own
+    nodes).  Non-finite samples raise NonFiniteValue."""
     values = check_finite(f.values, "integrand sample")
     m = f.rule.angular_count
     rings = np.fft.fft(values, axis=1) / m
@@ -265,12 +254,12 @@ def _mode_profiles(f: GridFunction, r: float):
     # the cut panel's nodes replace the panel's
     ds = np.concatenate([table.weights, (width * table.wg).ravel()])
     ds[panel * table.xg.size:(panel + 1) * table.xg.size] = 0.0
-    # each kept mode's radial profile on s, on (Re, Im) lanes
+    # each kept mode's radial profile on s and at r, on (Re, Im) lanes
     lanes = np.ascontiguousarray(rings[:, keep]).view(float)
     profiles = np.concatenate([to_nodes @ lanes, _interpolation(
-        cut, radii, lam) @ lanes]).view(complex)
+        np.append(cut, r), radii, lam) @ lanes]).view(complex)
     modes = np.fft.fftfreq(m, 1.0 / m).astype(int)[keep]
-    return modes, np.concatenate([table.s, cut]), ds, profiles
+    return modes, np.concatenate([table.s, cut]), ds, profiles[:-1], profiles[-1]
 
 
 def _apply_resolvent_grid(f: GridFunction, z: complex, domain: Domain) -> complex:
@@ -282,7 +271,7 @@ def _apply_resolvent_grid(f: GridFunction, z: complex, domain: Domain) -> comple
     if domain is Domain.EXTERIOR_DISK:
         z = 0.0 if not np.isfinite(z) else 1.0 / np.conj(z)
     r = abs(z)
-    modes, s, ds, profiles = _mode_profiles(f, r)
+    modes, s, ds, profiles, _ = _mode_profiles(f, r)
     # ds times rho(s) s
     weights = ds * (4.0 * s / np.square((1.0 - s) * (1.0 + s)))
     ghat = np.array([mode_kernel(int(p), r, s) for p in modes]).reshape(-1, s.size)
@@ -415,7 +404,7 @@ def integrate_double(kernel, rule: QuadRule, domain: Domain = Domain.UNIT_DISK) 
     nr, m = nodes.shape
     n = nodes.size
     flat_pts = nodes.ravel()
-    flat_w = (rule.node_weights() * _area_density(nodes, "hyperbolic", domain)).ravel()
+    flat_w = (rule.node_weights() * _area_density(nodes)).ravel()
     turns = np.exp(1j * rule.angles)
     delta = rule.patch_radius
     rows = min(m, max(1, _DOUBLE_BLOCK // max(n, _PATCH_T.size * _PATCH_DIRS.size)))
@@ -426,7 +415,7 @@ def integrate_double(kernel, rule: QuadRule, domain: Domain = Domain.UNIT_DISK) 
         shifted = np.lib.stride_tricks.sliding_window_view(
             np.concatenate([window, window], axis=1), m, axis=1).transpose(1, 0, 2)
         pw, pweights = _local_polar_rule(r, delta)
-        pweights = pweights * _area_density(pw, "hyperbolic", domain)
+        pweights = pweights * _area_density(pw)
         for start in range(0, m, rows):
             stop = min(start + rows, m)
             j = np.arange(start, stop)
@@ -441,9 +430,9 @@ def integrate_double(kernel, rule: QuadRule, domain: Domain = Domain.UNIT_DISK) 
                 np.multiply(kv.reshape(block.shape), shifted[m - start:m - stop:-1], out=block)
             block[j - start, i, j] = 0.0
             check_finite(block, "double-integral kernel block")
-            inner = tree_sum(block.reshape(j.size, n))
+            inner = np.sum(block.reshape(j.size, n), axis=1)
             pk = kernel(z[:, None, None], turns[j, None, None] * pw)
             patch = pweights * np.broadcast_to(pk, (j.size,) + pw.shape)
             check_finite(patch, "double-integral patch block")
-            totals[i, start:stop] = inner + tree_sum(patch.reshape(j.size, -1))
+            totals[i, start:stop] = inner + np.sum(patch.reshape(j.size, -1), axis=1)
     return pairwise_dot(flat_w, totals.ravel())

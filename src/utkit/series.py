@@ -230,8 +230,10 @@ def d0_beta(mu: BeltramiField, truncation: int | None = None, *,
 
     Moment k reads FFT bin (k + 4) mod M of a rule with M angles, so it is
     exact only while k + 4 < M for a harmonic field, and k + 4 < M / 2 for
-    a sampled field with modes of both signs; past that the moment aliases,
-    and nothing checks for it.
+    a sampled field with modes of both signs; past that the moment aliases.
+    Both rules of a harmonic field have M = 128, and a truncation with
+    truncation + 4 >= 128 raises IndexOutOfRange; a sampled field's
+    moments are not checked for aliasing.
     """
     if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
@@ -247,7 +249,10 @@ def d0_beta(mu: BeltramiField, truncation: int | None = None, *,
         return HoloCoeffs(Domain.UNIT_DISK, c)
     n_out = truncation if truncation is not None else 15
     if mu.is_harmonic:
-        # sampled once per rule; the finer rule gates the moments
+        # sampled once per rule; the finer rule gates the moments, and
+        # both alias alike past their 128 angles
+        if n_out + 4 >= 128:
+            raise IndexOutOfRange(f"moment {n_out} aliases on the rules' 128 angles")
         grids = [GridFunction.from_callable(mu, r, mu.domain)
                  for r in (QuadRule(), QuadRule(80, 128))]
     else:

@@ -5,10 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from utkit._util import check_finite, pairwise_dot, tree_sum
+from utkit._util import check_finite, pairwise_dot
 from utkit.errors import DomainMismatch, NonFiniteValue, QuadratureFailure
 from utkit.geometry import DiskPoint, Domain, kernel_value, kernel_value_array
 from utkit.modes import ModeTable, gfield_radial, mode_kernel, mode_table, pair_profiles
+from utkit import quadrature
 from utkit.qc_solver import cauchy_transform
 from utkit.quadrature import (
     GridFunction,
@@ -26,6 +27,12 @@ from utkit.quadrature import (
 
 def ones(z):
     return np.ones_like(z.real)
+
+
+def hyperbolic_density(z):
+    """4 / (1 - |z|^2)^2, the hyperbolic area form against d^2z on either
+    side of the circle."""
+    return 4.0 / (1.0 - np.abs(z) ** 2) ** 2
 
 
 class TestRadialRule:
@@ -87,18 +94,8 @@ class TestIntegrals:
     def test_exterior_hyperbolic(self):
         # (|z|^2-1)^2 |z|^-8 against the hyperbolic form: 4 * integral |z|^-8
         f = lambda z: (np.abs(z) ** 2 - 1) ** 2 / np.abs(z) ** 8
-        val = integrate_exterior(f, QuadRule(), "hyperbolic", certified_decay=True)
+        val = integrate_exterior(lambda z: f(z) * hyperbolic_density(z), QuadRule())
         assert abs(val - 4 * math.pi / 3) < 1e-12
-
-    def test_hyperbolic_requires_decay_certificate(self):
-        with pytest.raises(QuadratureFailure):
-            integrate_disk(ones, QuadRule(), "hyperbolic")
-        with pytest.raises(QuadratureFailure):
-            integrate_exterior(ones, QuadRule(), "hyperbolic")
-
-    def test_unknown_measure_rejected(self):
-        with pytest.raises(ValueError):
-            integrate_disk(ones, QuadRule(), "lebesgue")
 
     def test_nonfinite_integrand_rejected(self):
         def bad(z):
@@ -169,9 +166,7 @@ class TestGridFunction:
         for integrate, f, domain in ((integrate_disk, disk, Domain.UNIT_DISK),
                                      (integrate_exterior, ext, Domain.EXTERIOR_DISK)):
             gf = GridFunction.from_callable(f, rule, domain)
-            for measure in ("euclidean", "hyperbolic"):
-                assert integrate(gf, measure=measure, certified_decay=True) \
-                    == integrate(f, rule, measure, certified_decay=True)
+            assert integrate(gf) == integrate(f, rule)
 
     def test_constant_callable_broadcasts_on_both_domains(self):
         rule = QuadRule(6, 8)
@@ -375,15 +370,17 @@ class TestDoubleIntegral:
         integrate_double(kern, QuadRule(*shape))
         assert max(sizes) <= 1 << 15
 
+    @staticmethod
+    def log_kernel(z, w):
+        # not finite on the diagonal, which the diagonal cut removes
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return ((1 - np.abs(z) ** 2) ** 2 * (1 + z + z**3) * (1 - np.abs(w) ** 2) ** 2
+                    * (2 + np.conj(w) ** 2) * np.log(np.abs(z - w)))
+
     def test_ring_tables_match_the_per_node_rule(self):
         # the windowed node sum and the patch, built for each outer node
-        # on its own; the kernel is not finite on the diagonal, which the
-        # diagonal cut removes
-        def kern(z, w):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return ((1 - np.abs(z) ** 2) ** 2 * (1 + z + z**3) * (1 - np.abs(w) ** 2) ** 2
-                        * (2 + np.conj(w) ** 2) * np.log(np.abs(z - w)))
-
+        # on its own
+        kern = self.log_kernel
         rule = QuadRule(6, 10)
         rho = lambda w: 4 / (1 - np.abs(w) ** 2) ** 2
         nodes = rule.nodes().ravel()
@@ -418,55 +415,15 @@ class TestDoubleIntegral:
         turned = integrate_double(lambda z, w: kern(a * z, a * w), rule)
         assert abs(turned - val) <= 1e-12 * abs(val)
 
-    def test_row_sums_of_a_block_match_single_rows(self):
-        rng = np.random.default_rng(5)
-        block = rng.standard_normal((28, 1152)) + 1j * rng.standard_normal((28, 1152))
-        sums = tree_sum(block)
-        assert sums.shape == (28,)
-        rows = np.array([tree_sum(row) for row in block])
-        assert np.array_equal(sums, rows)
-
-    @staticmethod
-    def padded_fold(values):
-        # the zero-padded power-of-two fold that tree_sum reproduces
-        a = np.asarray(values)
-        n = 1
-        while n < a.shape[-1]:
-            n *= 2
-        b = np.zeros(a.shape[:-1] + (n,), dtype=a.dtype)
-        b[..., :a.shape[-1]] = a
-        while b.shape[-1] > 1:
-            half = b.shape[-1] // 2
-            b = b[..., :half] + b[..., half:]
-        return b[..., 0]
-
-    def test_fold_equals_the_zero_padded_fold(self):
-        rng = np.random.default_rng(9)
-        for n in [*range(1, 71), 1152, 30720]:
-            x = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
-                * 10.0 ** rng.uniform(-8, 8, n)
-            assert np.array_equal(tree_sum(x), self.padded_fold(x))
-            assert np.array_equal(tree_sum(x.real), self.padded_fold(x.real))
-        block = rng.standard_normal((28, 1152)) * 10.0 ** rng.uniform(-8, 8, (28, 1152))
-        assert np.array_equal(tree_sum(block), self.padded_fold(block))
-        assert np.array_equal(tree_sum(block[:, :1000]), self.padded_fold(block[:, :1000]))
-
-    def test_row_sums_own_their_memory(self):
-        # a view into the fold buffer would keep the whole buffer alive
-        sums = tree_sum(np.ones((4, 1000)))
-        assert sums.base is None
-        assert np.array_equal(sums, np.full(4, 1000.0))
-
-    def test_fold_leaves_its_input_unchanged(self):
-        # the fold runs in place on a copy; for a single row the transposed
-        # head is contiguous already, so only an explicit copy protects it
-        rng = np.random.default_rng(3)
-        for shape in [(1000,), (1, 1000), (1, 1024), (7, 1000), (3, 5, 37)]:
-            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            before = x.copy()
-            sums = tree_sum(x)
-            assert np.array_equal(x, before)
-            assert np.shape(sums) == shape[:-1]
+    def test_block_size_leaves_the_bits(self, monkeypatch):
+        # a block of outer nodes sums each row as the row alone, so the
+        # result does not depend on how the outer nodes are blocked
+        rule = QuadRule(24, 48)
+        values = []
+        for size in (1 << 10, 1 << 13, 1 << 15, 1 << 18):
+            monkeypatch.setattr(quadrature, "_DOUBLE_BLOCK", size)
+            values.append(integrate_double(self.log_kernel, rule))
+        assert all(v == values[0] for v in values)
 
 
 class TestNearDiagonalPatch:
@@ -676,6 +633,16 @@ EXACT_SELF_PAIRINGS = {
 }
 
 
+def ricci_summand(m: int, q: int) -> Fraction:
+    """T(m, q) = pi <D(mu_m conj(mu_k)), mu_m conj(mu_k)> at k = m + q >= m,
+    for the unit basis fields mu_n, as an exact rational in m and q."""
+    k = m + q
+    num = m * (m * m - 1) * (14 * m**4 + 70 * m**3 * q + 105 * m**2 * q**2 + 64 * m * q**3
+                             + 14 * q**4 + 10 * m**2 + 4 * m * q - 2 * q**2)
+    den = 2 * (k - 1) * k * (k + 1) * math.prod(m + k + j for j in range(-2, 3))
+    return Fraction(num, den)
+
+
 class TestModeEngine:
     def test_normalization_all_radii(self):
         table = mode_table(8)
@@ -722,6 +689,26 @@ class TestModeEngine:
     @pytest.mark.parametrize("pair", [(4, 2), (25, 14)])
     def test_exact_pairings_recomputed(self, pair):
         assert exact_self_pairing(*pair) == Fraction(*EXACT_SELF_PAIRINGS[pair])
+
+    def test_ricci_summand_matches_the_exact_pairings(self):
+        # (P, G P) / pi carries the constants c_i^2 c_j^2 = (i^3 - i)
+        # (j^3 - j) / (64 pi^2) off; q = 0 and 1 hold log r in psi_q
+        for (i, j), (num, den) in EXACT_SELF_PAIRINGS.items():
+            assert (Fraction((i**3 - i) * (j**3 - j), 64) * Fraction(num, den)
+                    == ricci_summand(min(i, j), abs(i - j))), (i, j)
+
+    def test_basis_pairings_match_the_ricci_summand(self):
+        # pi (P, G P) for the product profile P of mu_m conj(mu_k), whose
+        # constants are c_n = sqrt((n^3 - n) / (8 pi)), at every offset the
+        # Ricci sum of mu_m reaches up to k = m + 60
+        table = mode_table(0)
+        c = lambda n: math.sqrt((n**3 - n) / (8 * math.pi))
+        for m in range(2, 9):
+            for k in range(2, m + 61):
+                prof = lambda r, m=m, k=k: c(m) * c(k) * basis_product(m, k)(r)
+                val = math.pi * pair_profiles(table, m - k, prof, prof)
+                want = float(ricci_summand(min(m, k), abs(k - m)))
+                assert abs(val - want) <= 1e-14 * want, (m, k)
 
     def test_pairing_is_hermitian(self):
         table = mode_table(8)

@@ -37,6 +37,11 @@ def random_field(count):
     return BeltramiField.harmonic(Domain.EXTERIOR_DISK, 0.1 * a)
 
 
+def hyperbolic_density(z):
+    """4 / (|z|^2 - 1)^2, the hyperbolic area form against d^2z."""
+    return 4.0 / (np.abs(z) ** 2 - 1.0) ** 2
+
+
 class TestHoloCoeffs:
     def test_disk_evaluation(self):
         phi = HoloCoeffs(Domain.UNIT_DISK, [1.0, 2.0, 3.0])
@@ -91,23 +96,20 @@ class TestBeltramiField:
 
     def test_unit_norm_by_quadrature(self):
         mu2 = basis_mu(2, 3)
-        val = integrate_exterior(lambda z: np.abs(mu2(z)) ** 2,
-                                 QuadRule(32, 64), "hyperbolic",
-                                 certified_decay=True)
+        val = integrate_exterior(lambda z: np.abs(mu2(z)) ** 2 * hyperbolic_density(z),
+                                 QuadRule(32, 64))
         assert abs(val.real - 1.0) < 1e-12
 
     def test_cross_mode_quadrature(self):
         mu2, mu3 = basis_mu(2, 4), basis_mu(3, 4)
-        val = integrate_exterior(lambda z: mu2(z) * np.conj(mu3(z)),
-                                 QuadRule(32, 64), "hyperbolic",
-                                 certified_decay=True)
+        val = integrate_exterior(lambda z: mu2(z) * np.conj(mu3(z)) * hyperbolic_density(z),
+                                 QuadRule(32, 64))
         assert abs(val) < 1e-13
 
     def test_l2_closed_form_vs_quadrature(self):
         mu = random_field(5)
-        val = integrate_exterior(lambda z: np.abs(mu(z)) ** 2,
-                                 QuadRule(32, 64), "hyperbolic",
-                                 certified_decay=True)
+        val = integrate_exterior(lambda z: np.abs(mu(z)) ** 2 * hyperbolic_density(z),
+                                 QuadRule(32, 64))
         assert val.real == pytest.approx(harmonic_inner(mu, mu).real, rel=1e-10)
 
     def test_norm_doubles_under_d0_beta(self):
@@ -192,6 +194,17 @@ class TestTransforms:
         closed = d0_beta(mu, truncation=6)
         quad = d0_beta(mu, truncation=6, method="quadrature")
         assert np.allclose(quad.coeffs, closed.coeffs, rtol=1e-10, atol=1e-12)
+
+    def test_quadrature_route_refuses_aliased_moments(self):
+        # moment k reads FFT bin (k + 4) mod 128 on both rules: with a_2 =
+        # 0.1 alone, c_128 came back as 4.59, moment 0's, where the closed
+        # form gives 0, and the two rules agreed
+        mu = BeltramiField.harmonic(Domain.EXTERIOR_DISK, [0.1])
+        quad = d0_beta(mu, 123, method="quadrature")
+        assert np.allclose(quad.coeffs, d0_beta(mu, 123).coeffs, rtol=0, atol=1e-12)
+        for truncation in (124, 128):
+            with pytest.raises(IndexOutOfRange):
+                d0_beta(mu, truncation, method="quadrature")
 
     def test_quadrature_route_samples_mu_once_per_rule(self, monkeypatch):
         # the moments come from two samplings of mu, not from one
