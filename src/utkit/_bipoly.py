@@ -85,10 +85,6 @@ class BiPoly:
         self._bmin = int(bmin)
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def from_term(cls, coef, a, b, j=0):
         if j < 0:
             raise ValueError("log power must be nonnegative")

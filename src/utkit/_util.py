@@ -7,6 +7,8 @@ row of a 2-D block reduced along its last axis sums as the row alone.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import NonFiniteValue
@@ -16,6 +18,13 @@ def gauss_legendre_01(n: int):
     """Gauss-Legendre nodes and weights on [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
+
+
+def as_count(value, what: str) -> int:
+    """value through operator.index, which refuses floats; ValueError below 0."""
+    if (n := operator.index(value)) < 0:
+        raise ValueError(f"{what} must be at least 0, not {n}")
+    return n
 
 
 def check_finite(values, what: str = "value"):

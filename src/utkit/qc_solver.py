@@ -8,16 +8,15 @@ yields exact normalization jets for the interior conformal restriction,
 and the first dropped iterate is, identically, the Beltrami residual of
 the truncated solution.
 
-Grid samples on the disk are transformed mode by mode (cauchy_transform,
-beurling_transform); the solver's iterates go through the exact term
-algebra.  Term-algebra densities are evaluated by the points asked for:
-on the nodes of a polar rule with one FFT per ring (BiPoly.eval_rule),
-at arbitrary points (_SeriesState.w, which QCMap.evaluate and the Model A
-dressing use) with polyval2d (BiPoly.eval).  The series is evaluated on
-two rules only: each iterate once on a coarse probe rule, which gives
-both its residual and its L2 norm, and on the solver's rule when the
-probe passes, which gives the residual that is reported and the grid
-samples.
+The solver's iterates go through the exact term algebra, which is
+evaluated by the points asked for: on the nodes of a polar rule with one
+FFT per ring (BiPoly.eval_rule), at arbitrary points (_SeriesState.w,
+which QCMap.evaluate and the Model A dressing use) with polyval2d
+(BiPoly.eval).  The series is evaluated on two rules only: each iterate
+once on a coarse probe rule, which gives both its residual and its L2
+norm, and on the solver's rule when the probe passes, which gives the
+residual that is reported and the grid samples.  Grid samples are
+transformed mode by mode in the quadrature module, not here.
 """
 
 from __future__ import annotations
@@ -28,28 +27,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._bipoly import BiPoly, eval_principal
-from ._util import check_finite, pairwise_dot
+from ._util import as_count, check_finite, pairwise_dot
 from .errors import (
     CriticalPoint,
     DomainMismatch,
     FitFailure,
     NoConvergence,
+    NonFiniteValue,
     NormTooLarge,
 )
 from .geometry import Domain, MoebiusMap
-from .quadrature import GridFunction, QuadRule, _mode_profiles
+from .quadrature import GridFunction, QuadRule
 from .series import BeltramiField, HoloCoeffs
-
-__all__ = [
-    "QCMap",
-    "WeldingData",
-    "cauchy_transform",
-    "beurling_transform",
-    "solve_beltrami",
-    "schwarzian",
-    "bers_embedding",
-    "welding_decompose",
-]
 
 _polyval = np.polynomial.polynomial.polyval
 _polyder = np.polynomial.polynomial.polyder
@@ -75,56 +64,6 @@ _PHI_ACCEPT = 1e-8
 # unit circle; large enough to be past any Taylor tail, small enough to
 # keep squares finite
 _FAR = 1e150
-
-
-# -- Cauchy and Beurling transforms ------------------------------------
-
-
-def _disk_transform(h: GridFunction, z, order: int) -> complex:
-    """d^order/dz^order of P(h) at z, for order 0 or 1, mode by mode.
-
-    With r = abs(z), theta = arg z and h_n the radial profile of angular
-    mode n of h, P(h) takes e^{i(n-1)theta} times 2 int_0^r h_n (s/r)^(1-n) ds
-    for n <= 0 and -2 int_r^1 h_n (r/s)^(n-1) ds for n >= 1: the expansion
-    of 1/(zeta - z) in powers of zeta/z inside abs(zeta) = r and of z/zeta
-    outside it, of which one power survives the angular integral.  d/dz
-    takes each term times (n-1)/z and, for r <= 1, adds h(z) zbar/z from
-    the moving limit r; at z = 0 only the n = 2 term stays.  Every ratio
-    in the sums is at most 1.
-    """
-    if h.domain is not Domain.UNIT_DISK:
-        raise DomainMismatch("the transforms take densities on the disk")
-    z = complex(z)
-    r = abs(z)
-    modes, s, ds, profiles, at_r = _mode_profiles(h, r)
-    inside = s < r
-    hi = np.maximum(s, r)
-    # outside r, d/dz's (r/s)^(n-1) / r is taken as (r/s)^(n-2) / s, finite
-    # at r = 0; at n = 1 the factor n - 1 = 0 cancels the term
-    power = np.maximum(np.abs(modes - 1) - order * ~inside[:, None], 0)
-    kernel = np.where(inside[:, None] == (modes <= 0),
-                      (np.minimum(s, r) / hi)[:, None] ** power, 0.0)
-    weights = ds * np.where(inside, 2.0, -2.0) / hi ** order
-    sums = np.einsum("s,sk,sk->k", weights, kernel, profiles)
-    theta = np.angle(z)
-    out = np.exp(1j * (modes - 1 - order) * theta) @ (sums * (modes - 1.0) ** order)
-    if order and 0.0 < r <= 1.0:
-        out += np.exp(1j * (modes - 2) * theta) @ at_r
-    return complex(out)
-
-
-def cauchy_transform(h: GridFunction, z) -> complex:
-    """P(h)(z) = -(1/pi) iint_D h(zeta)/(zeta - z) d2zeta, for disk
-    samples h, by one radial integral per angular mode (_disk_transform).
-    Exact to rounding on densities whose profiles the rule's radii
-    reproduce; non-finite samples raise NonFiniteValue."""
-    return _disk_transform(h, z, 0)
-
-
-def beurling_transform(h: GridFunction, z) -> complex:
-    """H(h)(z) = d/dz P(h)(z), for disk samples h, mode by mode as
-    cauchy_transform; on the unit circle the limit from inside."""
-    return _disk_transform(h, z, 1)
 
 
 def _fit_bipoly(gf: GridFunction, deg_z: int, deg_zbar: int):
@@ -185,7 +124,7 @@ def _nu_from_mu(mu: BeltramiField, degrees):
         # c (zbar^(n-2) - 2 z zbar^(n-1) + z^2 zbar^n) for every n with a_n != 0
         n = mu.n_values[mu.a != 0]
         if not n.size:
-            return BiPoly.zero(), 0.0
+            return BiPoly(), 0.0
         c = -0.5 * (n**3 - n) * mu.a[mu.a != 0]
         arr = np.zeros((1, 3, n[-1] - n[0] + 3), dtype=complex)
         rows = np.arange(3)[:, None]
@@ -203,7 +142,7 @@ class _SeriesState:
 
     def __init__(self, nu: BiPoly):
         self.nu = nu
-        self.interior = BiPoly.zero()
+        self.interior = BiPoly()
         self.tail = np.zeros(0, dtype=complex)
         self.h = nu
         self.terms = 0
@@ -378,26 +317,29 @@ class QCMap:
         return out
 
     def evaluate(self, z):
-        """w at arbitrary points (scalar or ndarray)."""
+        """w at arbitrary points (scalar or ndarray); NaN raises NonFiniteValue."""
         z = np.asarray(z, dtype=complex)
-        scalar = z.ndim == 0
-        flat = z.reshape(-1)
-        vals = self._eval_a(flat) if self.normalization == "ModelA" \
-            else self._series.w(flat)
-        vals = vals.reshape(z.shape)
-        return complex(vals) if scalar else vals
+        if np.isnan(z).any():
+            raise NonFiniteValue("evaluation point is NaN")
+        vals = self._eval_a(z) if self.normalization == "ModelA" else self._series.w(z)
+        return complex(vals) if z.ndim == 0 else vals
+
+
+def _circle_taylor(values, r: float, count: int):
+    """Taylor coefficients 0..count-1 of a holomorphic function from its M
+    samples at uniform angles on abs(z) = r: one FFT, divided by M and r^k."""
+    return np.fft.fft(values)[:count] / values.size / r ** np.arange(count)
 
 
 def _interior_jets(w) -> dict:
     """Numerical jets at 0 of the evaluator w, read off a small circle,
     independently of the series bookkeeping that enforces them."""
     r = 1e-2
-    pts = r * np.exp(2j * math.pi * np.arange(8) / 8)
-    modes = np.fft.fft(w(pts)) / 8
+    c = _circle_taylor(w(r * np.exp(2j * math.pi * np.arange(8) / 8)), r, 3)
     return {
-        "w(0)": float(abs(modes[0])),
-        "w'(0)-1": float(abs(modes[1] / r - 1.0)),
-        "w''(0)": float(abs(2.0 * modes[2] / r**2)),
+        "w(0)": float(abs(c[0])),
+        "w'(0)-1": float(abs(c[1] - 1.0)),
+        "w''(0)": float(abs(2.0 * c[2])),
     }
 
 
@@ -536,44 +478,36 @@ def solve_beltrami(mu: BeltramiField, normalization: str = "ModelB",
 # -- Schwarzian and the Bers embedding ----------------------------------
 
 
-def _taylor_from_grid(gf: GridFunction, count: int | None = None):
-    """Taylor coefficients of a holomorphic function from its outermost
-    sample ring (angular FFT, spectrally accurate)."""
-    m = gf.rule.angular_count
-    count = min(m // 2, 64) if count is None else count
-    r = float(gf.rule.radii[-1])
-    modes = np.fft.fft(gf.values[-1]) / m
-    k = np.arange(count)
-    return modes[:count] / r**k
-
-
 def schwarzian(f, z):
     """S(f) = f'''/f' - (3/2)(f''/f')^2 at the given points.
 
     Coefficient inputs are differentiated exactly; grid inputs are read
-    off spectrally first.  Raises CriticalPoint where |f'| < 1e-12.
+    off their outermost ring first, to degree min(M/2, 64) - 1 for M
+    angles.  Raises CriticalPoint where |f'| < 1e-12.
     """
     if not isinstance(f, (HoloCoeffs, GridFunction)):
         raise TypeError("schwarzian takes HoloCoeffs or a sampled grid")
     if f.domain is not Domain.UNIT_DISK:
         raise DomainMismatch("schwarzian expansion lives on the disk")
     if isinstance(f, GridFunction):
-        f = HoloCoeffs(Domain.UNIT_DISK, _taylor_from_grid(f))
+        f = HoloCoeffs(Domain.UNIT_DISK, _circle_taylor(
+            f.values[-1], float(f.rule.radii[-1]), min(f.rule.angular_count // 2, 64)))
     c = np.asarray(f.coeffs, dtype=complex)
     d1, d2, d3 = _polyder(c), _polyder(c, 2), _polyder(c, 3)
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
     fp = _polyval(z, d1)
     if np.any(np.abs(fp) < 1e-12):
         raise CriticalPoint("derivative vanishes at a requested point")
     out = _polyval(z, d3) / fp - 1.5 * (_polyval(z, d2) / fp) ** 2
-    return complex(out) if scalar else out
+    return complex(out) if z.ndim == 0 else out
 
 
 def bers_embedding(mu: BeltramiField, *, truncation: int = 40,
                    rule: QuadRule | None = None) -> HoloCoeffs:
     """Schwarzian of the interior conformal restriction of the Model B
-    solution to a residual of 1e-9, as Taylor coefficients on the disk."""
+    solution to a residual of 1e-9, as Taylor coefficients on the disk.
+    A truncation below 0 raises ValueError."""
+    truncation = as_count(truncation, "truncation")
     qc = solve_beltrami(mu, "ModelB", 1e-9,
                         rule=rule if rule is not None else QuadRule(24, 48))
     # S(f) = u' - u^2/2 with u = f''/f', which S needs to degree count
@@ -618,12 +552,16 @@ def welding_decompose(w: QCMap, truncation: int = 32, *,
     least-squares fit of the exterior series on the welded circle
     samples, Tikhonov damped: its normal equations carry lambda^2 = 1e-12
     on the Gram diagonal and are solved by one Cholesky factor.  Raises
-    FitFailure on a non-finite boundary sample, when the Gram matrix
-    cannot be factored, or when the boundary residual exceeds tol or is
-    NaN.
+    ValueError on a truncation below 0 or unless tol > 0 (tol = inf keeps
+    every fit), and FitFailure on a non-finite boundary sample, when the
+    Gram matrix cannot be factored, or when the boundary residual exceeds
+    tol or is NaN.
     """
     if w.normalization != "ModelA":
         raise ValueError("welding_decompose needs a Model A solution")
+    truncation = as_count(truncation, "truncation")
+    if not tol > 0.0:
+        raise ValueError(f"tolerance must be positive, not {tol!r}")
     fcoeffs = _taylor_from_tail(w._series.tail, truncation)
     boundary = w._dress["boundary"]
     if not np.isfinite(boundary).all():

@@ -1,4 +1,6 @@
-"""Polar quadrature on the disk and its exterior, and resolvent application.
+"""Polar quadrature on the disk and its exterior, and the operators that
+act on a grid function one angular mode at a time: the resolvent G and
+the Cauchy and Beurling transforms P and H.
 
 The base rule crosses a Gauss rule for the radial measure r dr on (0, 1)
 with uniform angles, so monomials r^a e^{i m theta} integrate exactly up to
@@ -26,8 +28,8 @@ the profiles against the closed-form Ghat_p of ``modes``, a callable's
 through its samples on the nodes of its rule.  On profiles the
 rule's radii reproduce (the products of basis fields, constants) the value
 is exact to rounding up to abs(z) = 1 - 3.5e-4, the table's outermost
-radius.  ``qc_solver.cauchy_transform`` and ``beurling_transform`` sum the
-same profiles against the Cauchy kernel's radial factors.
+radius.  ``cauchy_transform`` and ``beurling_transform`` sum the same
+profiles against the Cauchy kernel's radial factors.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._util import check_finite, gauss_legendre_01, pairwise_dot
-from .errors import DomainMismatch, QuadratureFailure
+from .errors import DomainMismatch, NonFiniteValue, QuadratureFailure
 from .geometry import DiskPoint, Domain
 from .modes import mode_kernel, mode_table
 
@@ -199,7 +201,7 @@ def integrate_exterior(f, rule: QuadRule | None = None) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# resolvent application
+# mode by mode: the resolvent G and the Cauchy and Beurling transforms
 # ---------------------------------------------------------------------------
 
 def _interpolation(x, radii, lam):
@@ -292,9 +294,11 @@ def apply_resolvent(f, z: DiskPoint, rule: QuadRule | None = None, *,
     ``QuadRule()``) and then treated alike (module docstring).  With ``tol``
     set, a callable is also sampled on the rule with twice the radial and
     angular counts; the two values must agree to ``tol`` relative to
-    1 + abs(value), and the finer one is returned.  Non-finite samples raise
-    NonFiniteValue.
+    1 + abs(value), and the finer one is returned.  A ``tol`` that is not
+    positive raises ValueError, and non-finite samples NonFiniteValue.
     """
+    if tol is not None and not tol > 0.0:
+        raise ValueError(f"tolerance must be positive, not {tol!r}")
     if isinstance(f, GridFunction):
         return _apply_resolvent_grid(f, z.value, z.domain)
     rule = rule or QuadRule()
@@ -307,6 +311,55 @@ def apply_resolvent(f, z: DiskPoint, rule: QuadRule | None = None, *,
                 f"resolvent quadrature did not stabilize: {abs(val - ref):.3e}")
         val = ref
     return val
+
+
+def _disk_transform(h: GridFunction, z, order: int) -> complex:
+    """d^order/dz^order of P(h) at z, for order 0 or 1, mode by mode.
+
+    With r = abs(z), theta = arg z and h_n the radial profile of angular
+    mode n of h, P(h) takes e^{i(n-1)theta} times 2 int_0^r h_n (s/r)^(1-n) ds
+    for n <= 0 and -2 int_r^1 h_n (r/s)^(n-1) ds for n >= 1: the expansion
+    of 1/(zeta - z) in powers of zeta/z inside abs(zeta) = r and of z/zeta
+    outside it, of which one power survives the angular integral.  d/dz
+    takes each term times (n-1)/z and, for r <= 1, adds h(z) zbar/z from
+    the moving limit r; at z = 0 only the n = 2 term stays.  Every ratio
+    in the sums is at most 1.
+    """
+    if h.domain is not Domain.UNIT_DISK:
+        raise DomainMismatch("the transforms take densities on the disk")
+    z = complex(z)
+    if np.isnan(z):
+        raise NonFiniteValue("transform point is NaN")
+    r = abs(z)
+    modes, s, ds, profiles, at_r = _mode_profiles(h, r)
+    inside = s < r
+    hi = np.maximum(s, r)
+    # outside r, d/dz's (r/s)^(n-1) / r is taken as (r/s)^(n-2) / s, finite
+    # at r = 0; at n = 1 the factor n - 1 = 0 cancels the term
+    power = np.maximum(np.abs(modes - 1) - order * ~inside[:, None], 0)
+    kernel = np.where(inside[:, None] == (modes <= 0),
+                      (np.minimum(s, r) / hi)[:, None] ** power, 0.0)
+    weights = ds * np.where(inside, 2.0, -2.0) / hi ** order
+    sums = np.einsum("s,sk,sk->k", weights, kernel, profiles)
+    theta = np.angle(z)
+    out = np.exp(1j * (modes - 1 - order) * theta) @ (sums * (modes - 1.0) ** order)
+    if order and 0.0 < r <= 1.0:
+        out += np.exp(1j * (modes - 2) * theta) @ at_r
+    return complex(out)
+
+
+def cauchy_transform(h: GridFunction, z) -> complex:
+    """P(h)(z) = -(1/pi) iint_D h(zeta)/(zeta - z) d2zeta, for disk
+    samples h, by one radial integral per angular mode (_disk_transform).
+    Exact to rounding on densities whose profiles the rule's radii
+    reproduce; non-finite samples raise NonFiniteValue."""
+    return _disk_transform(h, z, 0)
+
+
+def beurling_transform(h: GridFunction, z) -> complex:
+    """H(h)(z) = d/dz P(h)(z), for disk samples h, mode by mode as
+    cauchy_transform; on the unit circle the limit from inside."""
+    return _disk_transform(h, z, 1)
 
 
 # ---------------------------------------------------------------------------

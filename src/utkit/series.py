@@ -20,12 +20,12 @@ fields and for cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from ._util import check_finite
+from ._util import as_count, check_finite
 from .errors import DomainMismatch, IndexOutOfRange, QuadratureFailure
 from .geometry import Domain
 from .quadrature import GridFunction, QuadRule
@@ -40,6 +40,15 @@ def _sup_weight() -> np.ndarray:
     out = 0.5 * np.square(1.0 - np.abs(w) ** 2)
     out.flags.writeable = False
     return out
+
+
+def _weighted_sup(c) -> float:
+    """Sup over the disk of (1/2)(1 - |w|^2)^2 |sum c_k w^k|: the maximum
+    over the nodes of _SUP_RULE, or |c_0| / 2 if larger; the weight
+    vanishes at the circle."""
+    w = _SUP_RULE.nodes(Domain.UNIT_DISK)
+    grid = np.max(_sup_weight() * np.abs(np.polynomial.polynomial.polyval(w, c)))
+    return float(max(grid, 0.5 * abs(c[0])))
 
 
 def _as_coeff_array(values) -> np.ndarray:
@@ -65,12 +74,8 @@ class HoloCoeffs:
         return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), self.coeffs)
 
     def sup_norm(self) -> float:
-        """Weighted sup of (1 - |z|^2)^2 |phi(z)| over the disk: the grid
-        maximum, or |phi(0)| if larger; the weight vanishes at the circle."""
-        w = _SUP_RULE.nodes(Domain.UNIT_DISK)
-        grid = float(np.max(np.square(1.0 - np.abs(w) ** 2) * np.abs(self(w))))
-        center = float(abs(self(np.zeros(1, dtype=complex))[0]))
-        return max(grid, center)
+        """Sup over the disk of (1 - |z|^2)^2 |phi(z)|: twice _weighted_sup."""
+        return 2.0 * _weighted_sup(self.coeffs)
 
     def l2_norm_sq(self) -> float:
         k = np.arange(self.coeffs.size)
@@ -94,14 +99,12 @@ class BeltramiField:
     """Beltrami differential on one side of the circle.
 
     Harmonic fields store the Lambda-side coefficient vector ``a`` indexed
-    by n = 2, 3, ...; sampled fields store a GridFunction.  The sup-norm is
-    computed on demand and cached.
+    by n = 2, 3, ...; sampled fields store a GridFunction.
     """
 
     domain: Domain
     a: np.ndarray | None = None
     grid: GridFunction | None = None
-    _sup: float | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.domain not in (Domain.UNIT_DISK, Domain.EXTERIOR_DISK):
@@ -140,29 +143,13 @@ class BeltramiField:
         series = np.sum(_weights(n) * self.a * powers, axis=-1)
         return -0.5 * np.square(1.0 - np.abs(z) ** 2) * series
 
-    def coefficient_profile(self, w):
-        """sum (n^3 - n) a_n w^(n-2), the polynomial behind the field.
-
-        The field transported through inversion is
-        -(1/2)(1-|w|^2)^2 times this profile with w^(n-2) -> r^(n-2) e^{i(n+2)theta}.
-        """
-        w = np.asarray(w, dtype=complex)
-        c = _weights(self.n_values) * self.a
-        return np.polynomial.polynomial.polyval(w, c)
-
     def sup_norm(self) -> float:
-        if self._sup is None:
-            if self.is_harmonic:
-                # |mu(1/conj(w))| = (1/2)(1-|w|^2)^2 |profile(w)| turns the
-                # sup into a disk-side scan; w = 0 carries the limit at
-                # infinity (or at the origin for a disk-side field)
-                w = _SUP_RULE.nodes(Domain.UNIT_DISK)
-                vals = _sup_weight() * np.abs(self.coefficient_profile(w))
-                center = 0.5 * abs(self.coefficient_profile(np.zeros(1))[0])
-                self._sup = float(max(np.max(vals), center))
-            else:
-                self._sup = float(np.max(np.abs(self.grid.values)))
-        return self._sup
+        if not self.is_harmonic:
+            return float(np.max(np.abs(self.grid.values)))
+        # |mu(1/conj(w))| = (1/2)(1-|w|^2)^2 |sum (n^3 - n) a_n w^(n-2)|
+        # turns the sup into a disk-side scan; w = 0 carries the limit at
+        # infinity (or at the origin for a disk-side field)
+        return _weighted_sup(_weights(self.n_values) * self.a)
 
     def iota_star(self) -> "BeltramiField":
         """Pullback under the holomorphic inversion z -> 1/z (linear in mu)."""
@@ -237,15 +224,13 @@ def d0_beta(mu: BeltramiField, truncation: int | None = None, *,
     """
     if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
+    truncation = None if truncation is None else as_count(truncation, "truncation")
     if mu.domain is not Domain.EXTERIOR_DISK:
         raise DomainMismatch("the origin differential acts on exterior fields")
     if mu.is_harmonic and method == "auto":
         c = _weights(mu.n_values) * mu.a
         if truncation is not None:
-            out = np.zeros(truncation + 1, dtype=complex)
-            m = min(out.size, c.size)
-            out[:m] = c[:m]
-            c = out
+            c = np.pad(c[:truncation + 1], (0, max(0, truncation + 1 - c.size)))
         return HoloCoeffs(Domain.UNIT_DISK, c)
     n_out = truncation if truncation is not None else 15
     if mu.is_harmonic:

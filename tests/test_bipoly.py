@@ -11,7 +11,7 @@ RNG = np.random.default_rng(np.random.PCG64(20240819))
 
 
 def random_bipoly(nterms=6, with_logcase=False):
-    out = BiPoly.zero()
+    out = BiPoly()
     for _ in range(nterms):
         a = int(RNG.integers(0, 4))
         b = int(RNG.integers(0, 4))
@@ -95,7 +95,7 @@ class TestAlgebra:
         rng = np.random.default_rng(7)
 
         def draw(count):
-            p = BiPoly.zero()
+            p = BiPoly()
             while p.nnz() < count:
                 p = p + BiPoly.from_term(complex(*rng.normal(size=2)),
                                          *rng.integers(0, 3, size=2), rng.integers(0, 3))

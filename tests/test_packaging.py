@@ -1,6 +1,7 @@
 """Packaging metadata points only at code that exists, and what the
 package caches is bounded and read-only."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -48,6 +49,26 @@ def test_every_exported_name_resolves():
 
     missing = [name for name in utkit.__all__ if not hasattr(utkit, name)]
     assert missing == []
+
+
+def test_no_module_reads_a_private_name_of_another():
+    """Each decision stays behind one module: no utkit module imports an
+    underscore name from a sibling, or reads one off a sibling it imports."""
+    import utkit
+
+    found = []
+    for path in sorted(Path(utkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   and (node.level or (node.module or "").startswith("utkit"))]
+        found += [f"{path.name}: {alias.name}" for node in imports
+                  for alias in node.names if alias.name.startswith("_")]
+        siblings = {alias.asname or alias.name for node in imports
+                    if node.module in (None, "utkit") for alias in node.names}
+        found += [f"{path.name}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in siblings and node.attr.startswith("_")]
+    assert found == []
 
 
 def _caches():

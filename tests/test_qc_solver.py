@@ -31,13 +31,11 @@ from utkit.qc_solver import (
     _tail_derivative,
     _taylor_from_tail,
     bers_embedding,
-    beurling_transform,
-    cauchy_transform,
     schwarzian,
     solve_beltrami,
     welding_decompose,
 )
-from utkit.quadrature import GridFunction, QuadRule
+from utkit.quadrature import GridFunction, QuadRule, beurling_transform, cauchy_transform
 from utkit.series import BeltramiField, HoloCoeffs, lambda_map
 
 RNG = np.random.default_rng(np.random.PCG64(20240820))
@@ -109,7 +107,7 @@ class TestCauchyTransform:
         rng = np.random.default_rng(23)
         rule = QuadRule(32, 64)
         for _ in range(10):
-            bp = BiPoly.zero()
+            bp = BiPoly()
             for a, b in rng.integers(0, 8, (8, 2)):
                 bp = bp + BiPoly.from_term(complex(*rng.standard_normal(2)), int(a), int(b))
             h = GridFunction(rule, Domain.UNIT_DISK, bp.eval(rule.nodes()))
@@ -161,6 +159,14 @@ class TestCauchyTransform:
         for transform in (cauchy_transform, beurling_transform):
             with pytest.raises(NonFiniteValue):
                 transform(h, 0.3 + 0.1j)
+
+
+    def test_nan_point_raises(self):
+        h = GridFunction.from_callable(np.ones_like, QuadRule(12, 24), Domain.UNIT_DISK)
+        for transform in (cauchy_transform, beurling_transform):
+            for z in (complex(np.nan, 0.0), complex(0.2, np.nan)):
+                with pytest.raises(NonFiniteValue):
+                    transform(h, z)
 
 
 class TestBeurlingTransform:
@@ -457,6 +463,20 @@ class TestSolveBeltrami:
             k = np.conj(mu(np.asarray(1.0 / np.conj(z0)))) * z0**2 / np.conj(z0) ** 2
         assert abs(wzb - k * wz) < 1e-8
 
+    @pytest.mark.parametrize("normalization", ["ModelB", "ModelA"])
+    def test_evaluate_keeps_the_shape_and_refuses_nan(self, normalization):
+        # Model B returned nan+nanj at a NaN point, with a divide warning
+        qc = solve_beltrami(harmonic([0.1 * A2_UNIT]), normalization, 1e-8,
+                            rule=QuadRule(16, 32))
+        z = np.array([[0.0, 0.3 + 0.2j, -0.9j], [1.0, 1.5 - 0.5j, 4.0]])
+        vals = qc.evaluate(z)
+        assert vals.shape == z.shape
+        assert np.array_equal(vals.ravel(), qc.evaluate(z.ravel()))
+        assert qc.evaluate(z[0, 1]) == vals[0, 1]
+        for bad in (np.nan, np.array([0.5, complex(0.1, np.nan), 2.0])):
+            with pytest.raises(NonFiniteValue):
+                qc.evaluate(bad)
+
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_jets_hold_for_random_harmonic_fields(self, seed):
@@ -595,6 +615,17 @@ class TestBersEmbedding:
         out = bers_embedding(mu, truncation=10, rule=rule)
         assert np.max(np.abs(out.coeffs)) < 1e-8
 
+    def test_truncation_is_a_count(self):
+        # -1 failed as "coefficients must form a nonempty vector"
+        mu = harmonic([0.05 * A2_UNIT])
+        with pytest.raises(ValueError, match="truncation"):
+            bers_embedding(mu, truncation=-1)
+        with pytest.raises(TypeError):
+            bers_embedding(mu, truncation=2.5)
+        assert bers_embedding(mu, truncation=0).coeffs.size == 1
+        assert np.array_equal(bers_embedding(mu, truncation=np.int64(6)).coeffs,
+                              bers_embedding(mu, truncation=6).coeffs)
+
     @pytest.mark.parametrize("seed", [7, 19])
     def test_weighted_section_inverts(self, seed):
         # the harmonic field built from phi embeds back onto phi
@@ -654,6 +685,22 @@ class TestWelding:
                             rule=QuadRule(16, 32))
         with pytest.raises(ValueError):
             welding_decompose(qc)
+
+    def test_counts_and_tolerances_are_checked(self):
+        # truncation -1 raised IndexError, 2.5 numpy's pad_width error, and
+        # tol -1 or nan a FitFailure that blamed the residual
+        qc = solve_beltrami(harmonic([0.1 * A2_UNIT]), "ModelA", 1e-9,
+                            rule=QuadRule(16, 32))
+        with pytest.raises(ValueError, match="truncation"):
+            welding_decompose(qc, truncation=-1)
+        with pytest.raises(TypeError):
+            welding_decompose(qc, truncation=2.5)
+        for tol in (-1.0, 0.0, math.nan):
+            with pytest.raises(ValueError, match="tolerance"):
+                welding_decompose(qc, tol=tol)
+        assert welding_decompose(qc, truncation=0, tol=math.inf).gCoeffs.size == 1
+        assert np.array_equal(welding_decompose(qc, truncation=np.int64(8)).gCoeffs,
+                              welding_decompose(qc, truncation=8).gCoeffs)
 
     def test_unreachable_tolerance(self):
         qc = solve_beltrami(harmonic([0.1 * A2_UNIT]), "ModelA", 1e-9,

@@ -10,13 +10,13 @@ from utkit.errors import DomainMismatch, NonFiniteValue, QuadratureFailure
 from utkit.geometry import DiskPoint, Domain, kernel_value, kernel_value_array
 from utkit.modes import ModeTable, gfield_radial, mode_kernel, mode_table, pair_profiles
 from utkit import quadrature
-from utkit.qc_solver import cauchy_transform
 from utkit.quadrature import (
     GridFunction,
     QuadRule,
     _local_polar_rule,
     _smoothstep,
     apply_resolvent,
+    cauchy_transform,
     gauss_legendre_01,
     gauss_radial,
     integrate_disk,
@@ -238,6 +238,17 @@ class TestResolvent:
                               tol=1e-6)
         want = gfield_radial(table, 0, prof)[k]
         assert abs(val - want) <= 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_tolerance_must_be_positive(self, tol, sampled):
+        # nan skipped the two-rule gate, 0 and -1 failed as "did not
+        # stabilize", and a grid function ignored the tolerance
+        f = lambda w: (1 - np.abs(w) ** 2) ** 2
+        if sampled:
+            f = GridFunction.from_callable(f, QuadRule(), Domain.UNIT_DISK)
+        with pytest.raises(ValueError, match="positive"):
+            apply_resolvent(f, DiskPoint.disk(0.3), tol=tol)
 
     def test_tolerance_failure_is_named(self):
         # a profile the default rule's radii cannot follow: the value on the
@@ -696,6 +707,14 @@ class TestModeEngine:
         for (i, j), (num, den) in EXACT_SELF_PAIRINGS.items():
             assert (Fraction((i**3 - i) * (j**3 - j), 64) * Fraction(num, den)
                     == ricci_summand(min(i, j), abs(i - j))), (i, j)
+
+    def test_ricci_summand_in_the_log_modes(self):
+        # q = 0 and 1, where psi_q holds log r, at every m = 2..8
+        for m in range(2, 9):
+            for q in (0, 1):
+                k = m + q
+                assert (Fraction((m**3 - m) * (k**3 - k), 64) * exact_self_pairing(k, m)
+                        == ricci_summand(m, q)), (m, q)
 
     def test_basis_pairings_match_the_ricci_summand(self):
         # pi (P, G P) for the product profile P of mu_m conj(mu_k), whose

@@ -121,10 +121,17 @@ class TestBeltramiField:
         # sum (n^3 - n) x^(n-2) = 6 / (1 - x)^4 through the stored weights
         mu = BeltramiField.harmonic(Domain.EXTERIOR_DISK, np.ones(400))
         for x in (0.0, 0.3, 0.9):
-            got = complex(mu.coefficient_profile(np.asarray(x + 0j)))
+            got = complex(d0_beta(mu)(x))
             want = 6.0 / (1.0 - x) ** 4
             assert got.real == pytest.approx(want, rel=1e-10)
             assert abs(got.imag) < 1e-12 * want
+
+    def test_sup_norm_follows_the_coefficients(self):
+        # the field is mutable: a cached sup kept the old coefficients'
+        mu = random_field(3)
+        before = mu.sup_norm()
+        mu.a = 2.0 * mu.a
+        assert mu.sup_norm() == 2.0 * before
 
     def test_iota_star_pointwise(self):
         mu = random_field(4)
@@ -194,6 +201,17 @@ class TestTransforms:
         closed = d0_beta(mu, truncation=6)
         quad = d0_beta(mu, truncation=6, method="quadrature")
         assert np.allclose(quad.coeffs, closed.coeffs, rtol=1e-10, atol=1e-12)
+
+    def test_truncation_is_a_count(self):
+        # -5 failed as numpy's "negative dimensions are not allowed"
+        mu = random_field(3)
+        for method in ("auto", "quadrature"):
+            with pytest.raises(ValueError, match="truncation"):
+                d0_beta(mu, -5, method=method)
+            with pytest.raises(TypeError):
+                d0_beta(mu, 2.5, method=method)
+            assert d0_beta(mu, 0, method=method).coeffs.size == 1
+        assert np.array_equal(d0_beta(mu, np.int64(6)).coeffs, d0_beta(mu, 6).coeffs)
 
     def test_quadrature_route_refuses_aliased_moments(self):
         # moment k reads FFT bin (k + 4) mod 128 on both rules: with a_2 =
