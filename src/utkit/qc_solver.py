@@ -36,7 +36,7 @@ from .errors import (
     NonFiniteValue,
     NormTooLarge,
 )
-from .geometry import Domain, MoebiusMap
+from .geometry import INF, Domain, MoebiusMap
 from .quadrature import GridFunction, QuadRule
 from .series import BeltramiField, HoloCoeffs
 
@@ -59,11 +59,6 @@ _FIT_CUT = 1e-13
 # abs(abs(Phi) - 1) on the curve that its fit must reach
 _PHI_TRUNCATION = 40
 _PHI_ACCEPT = 1e-8
-
-# stand-in for the point at infinity when reflecting z = 0 through the
-# unit circle; large enough to be past any Taylor tail, small enough to
-# keep squares finite
-_FAR = 1e150
 
 
 def _fit_bipoly(gf: GridFunction, deg_z: int, deg_zbar: int):
@@ -107,8 +102,7 @@ def _fit_bipoly(gf: GridFunction, deg_z: int, deg_zbar: int):
 def _tail_derivative(tail):
     # d/dz of sum t[p] z^(-p-1) re-expressed in the same principal basis
     out = np.zeros(tail.size + 1, dtype=complex)
-    if tail.size:
-        out[1:] = -(np.arange(tail.size) + 1.0) * tail
+    out[1:] = -(np.arange(tail.size) + 1.0) * tail
     return out
 
 
@@ -161,18 +155,21 @@ class _SeriesState:
     def w(self, z):
         """The Model B map w(z) = 1/w~(1/z) at the points of the array z:
         through the principal tail inside the disk, where w(0) = 0, and
-        through the interior density outside it."""
+        through the interior density outside it; w(inf) = 1/w~(0), from
+        the interior's constant term (INF if 0, as for harmonic fields)."""
         z = np.asarray(z, dtype=complex)
         out = np.zeros(z.shape, dtype=complex)
         inside = np.abs(z) <= 1.0
+        far = np.isinf(z)
         pick = inside & (z != 0)
         if pick.any():
             zeta = 1.0 / z[pick]
             out[pick] = 1.0 / (eval_principal(self.tail, zeta) + zeta)
-        zout = z[~inside]
-        if zout.size:
-            zeta = 1.0 / zout
-            out[~inside] = 1.0 / (zeta + self.interior.eval(zeta))
+        outside = ~(inside | far)
+        if outside.any():
+            zeta = 1.0 / z[outside]
+            out[outside] = 1.0 / (zeta + self.interior.eval(zeta))
+        out[far] = INF if (w0 := self.interior.coeff(0, 0)) == 0 else 1.0 / w0
         return out
 
     def residual_sup(self, rule: QuadRule):
@@ -245,10 +242,8 @@ def _taylor_from_tail(tail, count: int):
 def _poly_div_trunc(num, den, count: int):
     if den[0] == 0:
         raise ZeroDivisionError("series division needs a unit constant term")
-    num = np.pad(np.asarray(num, dtype=complex),
-                 (0, max(0, count + 1 - len(num))))
-    den = np.pad(np.asarray(den, dtype=complex),
-                 (0, max(0, count + 1 - len(den))))
+    num, den = (np.pad(np.asarray(v, dtype=complex), (0, max(0, count + 1 - len(v))))
+                for v in (num, den))
     out = np.zeros(count + 1, dtype=complex)
     for k in range(count + 1):
         acc = num[k] - (np.dot(den[1:k + 1], out[k - 1::-1]) if k else 0.0)
@@ -260,24 +255,23 @@ def _poly_div_trunc(num, den, count: int):
 
 
 def _reflect(z):
-    """1/conj(z) elementwise, sending 0 to the far stand-in for infinity."""
-    out = np.full(z.shape, _FAR, dtype=complex)
-    nz = z != 0
-    out[nz] = 1.0 / np.conj(z[nz])
-    return out
+    """1/conj(z) over an array, which exchanges 0 and INF."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(z == 0, INF, 1.0 / np.conj(z))
 
 
 def _phi_eval(phi, w, deriv: bool = False):
-    """Phi(w) = A1 w exp(h(w)) with h = sum_k c_k w^-k, and with deriv
-    also Phi'(w) = Phi(w) (1/w + h'(w)); h is a principal part, summed
-    by eval_principal."""
+    """Phi(w) = A1 w exp(h(w)) with h = sum_k c_k w^-k, Phi(INF) = INF, and
+    with deriv also Phi'(w) = Phi(w) (1/w + h'(w)) at finite w; h is a
+    principal part, summed by eval_principal."""
     a1, c = phi
     w = np.asarray(w, dtype=complex)
     out = np.exp(eval_principal(c, w))
-    out *= w
-    out *= a1
+    with np.errstate(invalid="ignore"):
+        out *= w
+        out *= a1
     if not deriv:
-        return out
+        return np.where(np.isinf(w), INF, out)
     return out, out * (1.0 / w + eval_principal(_tail_derivative(c), w))
 
 
@@ -301,28 +295,27 @@ class QCMap:
     _series: _SeriesState = field(default=None, repr=False)
     _dress: dict = field(default=None, repr=False)
 
-    def _dressed(self, wb):
-        return self._dress["mhat"].apply(_phi_eval(self._dress["phi"], wb))
-
-    def _eval_a(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.empty(z.shape, dtype=complex)
-        outside = np.abs(z) >= 1.0
-        zo = z[outside]
-        if zo.size:
-            out[outside] = self._dressed(self._series.w(zo))
-        zi = z[~outside]
-        if zi.size:
-            out[~outside] = 1.0 / np.conj(self._dressed(self._series.w(_reflect(zi))))
-        return out
-
     def evaluate(self, z):
-        """w at arbitrary points (scalar or ndarray); NaN raises NonFiniteValue."""
+        """w at any points of the sphere (scalar or ndarray), a point with an
+        infinite part being infinity; NaN raises NonFiniteValue.  Model B is
+        _SeriesState.w: w(0) = 0 and w(inf) = 1/w~(0).  Model A is
+        mhat(Phi(w_B(z))) for abs(z) >= 1 and its reflection
+        1/conj(w(1/conj(z))) inside, so w(0) = 1/conj(w(inf)) exactly, and
+        w(inf) = mhat(INF) = a/conj(b) when w_B(inf) = INF, as for every
+        harmonic field."""
         z = np.asarray(z, dtype=complex)
         if np.isnan(z).any():
             raise NonFiniteValue("evaluation point is NaN")
-        vals = self._eval_a(z) if self.normalization == "ModelA" else self._series.w(z)
-        return complex(vals) if z.ndim == 0 else vals
+        # 1-d for every shape: numpy's scalar arithmetic rounds otherwise
+        flat = z.ravel()
+        if self.normalization == "ModelB":
+            vals = self._series.w(flat)
+        else:
+            inside = np.abs(flat) < 1.0
+            vals = self._dress["mhat"].apply(_phi_eval(
+                self._dress["phi"], self._series.w(np.where(inside, _reflect(flat), flat))))
+            vals = np.where(inside, _reflect(vals), vals)
+        return complex(vals[0]) if z.ndim == 0 else vals.reshape(z.shape)
 
 
 def _circle_taylor(values, r: float, count: int):
@@ -444,10 +437,9 @@ def solve_beltrami(mu: BeltramiField, normalization: str = "ModelB",
     # small rules have fewer samples than the full fit has unknowns
     k_neg = min(_PHI_TRUNCATION, (m_samples - 2) // 2)
     phi, phi_resid = _exterior_riemann(boundary, k_neg)
-    anchors = state.w(np.array([-1.0 + 0j, -1j, 1.0 + 0j]))
-    phi_anchor = _phi_eval(phi, anchors)
-    phi_anchor = phi_anchor / np.abs(phi_anchor)
     targets = np.array([-1.0 + 0j, -1j, 1.0 + 0j])
+    phi_anchor = _phi_eval(phi, state.w(targets))
+    phi_anchor = phi_anchor / np.abs(phi_anchor)
     mhat = MoebiusMap.through_points(phi_anchor, targets, tol=1e-6)
     dress = {"phi": phi, "mhat": mhat,
              "psi_point": complex(phi_anchor[2]), "boundary": boundary}

@@ -20,6 +20,7 @@ fields and for cross-checks.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,6 +30,8 @@ from ._util import as_count, check_finite
 from .errors import DomainMismatch, IndexOutOfRange, QuadratureFailure
 from .geometry import Domain
 from .quadrature import GridFunction, QuadRule
+
+_polyval = np.polynomial.polynomial.polyval
 
 _SUP_RULE = QuadRule(64, 128)
 
@@ -47,7 +50,7 @@ def _weighted_sup(c) -> float:
     over the nodes of _SUP_RULE, or |c_0| / 2 if larger; the weight
     vanishes at the circle."""
     w = _SUP_RULE.nodes(Domain.UNIT_DISK)
-    grid = np.max(_sup_weight() * np.abs(np.polynomial.polynomial.polyval(w, c)))
+    grid = np.max(_sup_weight() * np.abs(_polyval(w, c)))
     return float(max(grid, 0.5 * abs(c[0])))
 
 
@@ -71,7 +74,7 @@ class HoloCoeffs:
         object.__setattr__(self, "coeffs", _as_coeff_array(self.coeffs))
 
     def __call__(self, z):
-        return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), self.coeffs)
+        return _polyval(np.asarray(z, dtype=complex), self.coeffs)
 
     def sup_norm(self) -> float:
         """Sup over the disk of (1 - |z|^2)^2 |phi(z)|: twice _weighted_sup."""
@@ -133,15 +136,18 @@ class BeltramiField:
         return np.arange(2, self.a.size + 2)
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
+        """mu at the points of z, for a harmonic field: on the disk
+        mu_D(w) = -(1/2)(1 - |w|^2)^2 sum (n^3 - n) a_n conj(w)^(n-2) by one
+        Horner pass, -3 a_2 at w = 0; outside, (z/conj(z))^2 mu_D(1/z), finite
+        at every finite z != 0 (0 is a pole), with |mu| -> 3|a_2| at infinity."""
         if not self.is_harmonic:
             raise DomainMismatch("sampled fields evaluate only on their grid nodes")
-        n = self.n_values
-        zc = np.conj(z)[..., None]
-        powers = zc ** (-(n + 2)) if self.domain is Domain.EXTERIOR_DISK \
-            else zc ** (n - 2)
-        series = np.sum(_weights(n) * self.a * powers, axis=-1)
-        return -0.5 * np.square(1.0 - np.abs(z) ** 2) * series
+        z = np.asarray(z, dtype=complex)
+        outside = self.domain is Domain.EXTERIOR_DISK
+        w = 1.0 / z if outside else z
+        out = -0.5 * np.square(1.0 - np.abs(w) ** 2) * _polyval(
+            np.conj(w), _weights(self.n_values) * self.a)
+        return out * np.square(z / np.conj(z)) if outside else out
 
     def sup_norm(self) -> float:
         if not self.is_harmonic:
@@ -175,6 +181,7 @@ def basis_mu(n: int, count: int) -> BeltramiField:
     The single coefficient a_n = sqrt(1 / (2 pi (n^3 - n))) makes the field
     evaluate to -sqrt((n^3 - n) / 8 pi) (1 - |z|^2)^2 conj(z)^(-n-2).
     """
+    n, count = operator.index(n), as_count(count, "count")
     if n < 2:
         raise IndexOutOfRange(f"basis index {n} below 2")
     if n > count + 1:

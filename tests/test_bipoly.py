@@ -300,3 +300,11 @@ class TestDeepLogLevels:
 
 def test_eval_principal_empty():
     assert eval_principal(np.zeros(0, dtype=complex), 2.0 + 0j) == 0.0
+
+
+def test_eval_principal_at_infinity_is_zero():
+    tail = np.array([1.0 + 2.0j, 3.0, 0.5j])
+    for z in (complex(np.inf, 0.0), complex(0.0, -np.inf), complex(-np.inf, 1.0)):
+        assert eval_principal(tail, z) == 0
+    assert np.array_equal(eval_principal(tail, np.array([np.inf, 2.0])),
+                          [0, eval_principal(tail, 2.0)])

@@ -64,3 +64,27 @@ def test_digests_do_not_read_the_blas_threads():
     pinned = digests("1")
     assert len(pinned) == 2 * len(fingerprint.FAMILIES)
     assert digests("2") == pinned
+
+
+def test_compare_with_itself_finds_nothing(capsys):
+    # the other checkout's modules come in for the run and go out after it
+    modules = dict(sys.modules)
+    assert fingerprint.main(["--compare", str(_SCRIPT.parents[1]), "--seeds", "1"]) == 0
+    assert all(sys.modules[name] is module for name, module in modules.items())
+    out = capsys.readouterr().out.splitlines()
+    heads = [line for line in out if not line.startswith(" ")]
+    assert heads == [f"{family}: 0 cases differ" for family in fingerprint.FAMILIES]
+    assert all(float(line.split()[-1]) == 0.0 for line in out if line.startswith(" "))
+
+
+def test_compare_finds_a_nudged_record():
+    # one grid sample moved by one unit in the last place: one case and
+    # one field differ, by about 1e-16 of that field's largest entry
+    base = list(fingerprint.records("radial_sampled"))
+    nudged = [(case, list(record), passed) for case, record, passed in base]
+    grid = nudged[2][1][5] = nudged[2][1][5].copy()
+    grid[0, 0] = complex(np.nextafter(grid[0, 0].real, np.inf), grid[0, 0].imag)
+    moved, worst = fingerprint.diff("radial_sampled", nudged, base)
+    assert moved == [base[2][0]]
+    assert 0.0 < worst.pop("exterior grid") < 1e-15
+    assert set(worst.values()) == {0.0}

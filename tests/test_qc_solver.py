@@ -20,7 +20,7 @@ from utkit.errors import (
     NonFiniteValue,
     NormTooLarge,
 )
-from utkit.geometry import Domain, MoebiusMap
+from utkit.geometry import INF, Domain, MoebiusMap
 from utkit.qc_solver import (
     _PHI_TRUNCATION,
     QCMap,
@@ -41,6 +41,8 @@ from utkit.series import BeltramiField, HoloCoeffs, lambda_map
 RNG = np.random.default_rng(np.random.PCG64(20240820))
 
 A2_UNIT = 1.0 / math.sqrt(12.0 * math.pi)  # storage coefficient of the first basis field
+# three spellings of the point at infinity
+INFINITE_POINTS = (complex(np.inf, 0.0), complex(0.0, -np.inf), complex(np.inf, np.inf))
 
 
 def harmonic(a):
@@ -167,6 +169,13 @@ class TestCauchyTransform:
             for z in (complex(np.nan, 0.0), complex(0.2, np.nan)):
                 with pytest.raises(NonFiniteValue):
                     transform(h, z)
+
+    def test_infinity_gives_the_limit_zero(self):
+        h = GridFunction.from_callable(lambda z: np.exp(2.0 * z.real) + z,
+                                       QuadRule(16, 32), Domain.UNIT_DISK)
+        for transform in (cauchy_transform, beurling_transform):
+            for z in INFINITE_POINTS:
+                assert transform(h, z) == 0
 
 
 class TestBeurlingTransform:
@@ -476,6 +485,50 @@ class TestSolveBeltrami:
         for bad in (np.nan, np.array([0.5, complex(0.1, np.nan), 2.0])):
             with pytest.raises(NonFiniteValue):
                 qc.evaluate(bad)
+
+    @pytest.mark.parametrize("normalization", ["ModelB", "ModelA"])
+    @pytest.mark.parametrize("kind", ["harmonic", "radial"])
+    def test_evaluate_at_infinity(self, kind, normalization):
+        # Model B returned inf+nanj with divide warnings, Model A raised
+        # NonFiniteValue; the radial field's interior carries log terms
+        if kind == "harmonic":
+            mu, rule = harmonic([0.1 * A2_UNIT, 0.04 * A2_UNIT]), QuadRule(24, 48)
+        else:
+            rule = QuadRule(32, 64)
+            ext = rule.nodes(Domain.EXTERIOR_DISK)
+            mu = BeltramiField.sampled(
+                GridFunction(rule, Domain.EXTERIOR_DISK, 0.2 * ext / np.conj(ext)))
+        qc = solve_beltrami(mu, normalization, 1e-8, rule=rule)
+        assert any(j for *_, j in qc._series.interior.terms()) == (kind == "radial")
+        # w_B(inf) = inf, which the Moebius pin of Model A sends to a/conj(b)
+        want = qc._dress["mhat"].apply(INF) if normalization == "ModelA" else INF
+        finite = np.array([0.3 + 0.1j, 2.0 - 0.5j, 0.0, -0.9j, 1.0])
+        for z in INFINITE_POINTS:
+            assert qc.evaluate(z) == want
+            vals = qc.evaluate(np.insert(finite, 2, z))
+            assert vals[2] == want
+            assert np.array_equal(np.delete(vals, 2), qc.evaluate(finite))
+        if normalization == "ModelA":
+            # the reflection exchanges 0 and infinity, bit for bit
+            assert np.array_equal(qc.evaluate(np.zeros(1)),
+                                  1.0 / np.conj(qc.evaluate(np.full(1, np.inf))))
+
+    @pytest.mark.parametrize("normalization", ["ModelB", "ModelA"])
+    def test_evaluate_at_infinity_off_a_fixed_point(self, normalization):
+        # the dilatation of test_model_a_origin_moves_otherwise gives w~ a
+        # constant term, so the Model B map sends infinity to 1/w~(0)
+        rule = QuadRule(24, 48)
+        ext = rule.nodes(Domain.EXTERIOR_DISK)
+        mu = BeltramiField.sampled(
+            GridFunction(rule, Domain.EXTERIOR_DISK, 0.3 * ext / np.conj(ext) ** 2))
+        qc = solve_beltrami(mu, normalization, 1e-8, rule=rule)
+        at_inf = qc.evaluate(np.inf)
+        assert np.isfinite(at_inf)
+        assert abs(at_inf - qc.evaluate(1e12)) < 1e-9 * abs(at_inf)
+        if normalization == "ModelB":
+            assert at_inf == 1.0 / qc._series.interior.coeff(0, 0)
+        else:
+            assert abs(qc.evaluate(0.0) - qc.evaluate(1e-12)) < 1e-9
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1))

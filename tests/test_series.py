@@ -85,6 +85,43 @@ class TestBeltramiField:
         with pytest.raises(IndexOutOfRange):
             basis_mu(12, 8)
 
+    def test_basis_takes_integer_index_and_count(self):
+        # a float index used to reach numpy's IndexError
+        with pytest.raises(TypeError):
+            basis_mu(3.0, 5)
+        with pytest.raises(TypeError):
+            basis_mu(3, 5.0)
+        with pytest.raises(ValueError):
+            basis_mu(3, -1)
+        assert np.array_equal(basis_mu(np.int64(3), np.int64(5)).a, basis_mu(3, 5).a)
+
+    def test_exterior_field_is_finite_far_out(self):
+        # the per-mode powers conj(z)^(-n-2) overflowed to NaN past |z| ~ 1e77
+        mu = BeltramiField.harmonic(Domain.EXTERIOR_DISK, [0.3, 0.2j])
+        z = np.outer([1e100, 1e300], np.exp(1j * np.array([0.0, 0.7, 2.0, -2.5])))
+        vals = mu(z)
+        assert np.all(np.isfinite(vals))
+        # |mu| tends to (1/2) 6 |a_2| = 0.9 at infinity
+        np.testing.assert_allclose(np.abs(vals), 0.9, rtol=1e-14)
+
+    @pytest.mark.parametrize("domain", [Domain.EXTERIOR_DISK, Domain.UNIT_DISK])
+    def test_matches_the_power_formula(self, domain):
+        # -(1/2)(1 - |z|^2)^2 sum (n^3 - n) a_n conj(z)^p with p = -n-2
+        # outside and n-2 on the disk, one complex power per mode, to 1e-14
+        # of the sum of the moduli of its terms
+        rng = np.random.default_rng(61)
+        z = np.geomspace(1.2, 1e3, 400) * np.exp(2j * np.pi * rng.random(400))
+        if domain is Domain.UNIT_DISK:
+            z = np.concatenate([z, 0.999 * rng.random(100) * np.exp(2j * np.pi * rng.random(100))])
+        for modes in (1, 2, 5, 12):
+            mu = BeltramiField.harmonic(domain, rng.normal(size=modes) + 1j * rng.normal(size=modes))
+            n = np.arange(2, modes + 2)
+            p = -(n + 2) if domain is Domain.EXTERIOR_DISK else n - 2
+            terms = (n**3 - n) * mu.a * np.conj(z)[:, None] ** p
+            weight = -0.5 * np.square(1.0 - np.abs(z) ** 2)
+            scale = np.abs(weight) * np.sum(np.abs(terms), axis=1)
+            assert np.max(np.abs(mu(z) - weight * np.sum(terms, axis=1)) / scale) < 1e-14
+
     def test_basis_sup_norm(self):
         assert basis_mu(2, 3).sup_norm() == pytest.approx(SQRT_3_OVER_4PI, rel=1e-10)
 

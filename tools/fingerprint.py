@@ -1,6 +1,6 @@
 """Hash the solver's and the resolvent's outputs over fixed families.
 
-    python3 tools/fingerprint.py [--seeds N] [-v]
+    python3 tools/fingerprint.py [--seeds N] [-v] [--compare OTHER_CHECKOUT]
 
 Solves four fixed families of Beltrami fields, and runs one family of
 ``apply_resolvent`` cases, with the ``utkit`` of this checkout (its
@@ -42,12 +42,22 @@ benchmark, so that the digests depend on the code alone.
 ``--seeds N`` keeps the first N seeds of each family and the first N basis
 products (all radial fields, F4 and G 1 always run).  Failure messages are
 grouped with their numbers blanked out; ``-v`` lists each failure in full.
+
+``--compare OTHER_CHECKOUT`` prints no digests.  It runs every case once with
+the ``utkit`` of this checkout and once with that of ``OTHER_CHECKOUT/src``,
+in this process, and prints per family the cases whose records differ and,
+per record field, the largest change of an entry relative to the largest
+entry of that field in the other checkout (``inf`` when the two cannot be
+compared: a different shape, type or message).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import importlib
+import math
 import os
 import re
 import sys
@@ -75,6 +85,18 @@ RADIAL_KS = (0.05, 0.1, 0.15, 0.2, 0.25)
 SAMPLED_RULE = (32, 64)
 BASIS_PAIRS = tuple((i, j) for i in range(2, 10) for j in range(2, 10))
 RESOLVENT_BOUND = 1e-13
+# the names the families read, by the module of utkit that --compare imports
+# them from in the other checkout
+KIT = {"utkit": ("BeltramiField", "DiskPoint", "Domain", "GridFunction", "QuadRule",
+                 "apply_resolvent"),
+       "utkit.modes": ("gfield_radial", "mode_table"),
+       "utkit.qc_solver": ("solve_beltrami", "welding_decompose")}
+_SOLVED = ("terms", "residual", "ratios", "tail", "disk grid", "exterior grid")
+# the record fields of a passing case, by family; a failure's are
+# ("exception", "message")
+FIELDS = {"modelb_harmonic": _SOLVED, "modela_welding": _SOLVED + ("gCoeffs", "weld residual"),
+          "radial_sampled": _SOLVED, "nonradial_sampled": _SOLVED,
+          "resolvent": ("bound", "callable", "samples")}
 
 
 class BoundExceeded(Exception):
@@ -190,26 +212,87 @@ def _feed(digest, item):
         digest.update(repr(item).encode())
 
 
+def records(family: str, seeds: int | None = None):
+    """(case, record, passed) of every case of one family; a failure's
+    record is its exception type and message."""
+    for case, solve in FAMILIES[family](seeds):
+        try:
+            yield case, solve(), True
+        except Exception as exc:  # every failure is part of the fingerprint
+            yield case, [type(exc).__name__, str(exc)], False
+
+
 def fingerprint(family: str, seeds: int | None = None) -> dict:
     """{'outputs', 'decisions'} digests, the case count, the passes and
     the failures as (case, exception type, message) of one family."""
     outputs, decisions = hashlib.sha256(), hashlib.sha256()
     cases, failures = 0, []
-    for case, solve in FAMILIES[family](seeds):
+    for case, record, passed in records(family, seeds):
         cases += 1
-        try:
-            record = solve()
-        except Exception as exc:  # every failure is part of the fingerprint
-            record = [type(exc).__name__, str(exc)]
-            failures.append((case, type(exc).__name__, str(exc)))
-            decision = type(exc).__name__
-        else:
-            decision = record[0]
+        if not passed:
+            failures.append((case, *record))
         for item in [case] + record:
             _feed(outputs, item)
-        _feed(decisions, (case, decision))
+        _feed(decisions, (case, record[0]))
     return {"outputs": outputs.hexdigest(), "decisions": decisions.hexdigest(),
             "cases": cases, "passed": cases - len(failures), "failures": failures}
+
+
+@contextlib.contextmanager
+def checkout(root):
+    """Run the families with the utkit of root/src: its modules are
+    imported afresh and bound to the names the families read, and this
+    checkout's modules and names are put back on exit."""
+    utkit_modules = lambda: [m for m in sys.modules if m.partition(".")[0] == "utkit"]
+    saved = {m: sys.modules.pop(m) for m in utkit_modules()}
+    names = {n: globals()[n] for group in KIT.values() for n in group}
+    src = str(Path(root).resolve() / "src")
+    sys.path.insert(0, src)
+    try:
+        for module, group in KIT.items():
+            loaded = importlib.import_module(module)
+            globals().update({n: getattr(loaded, n) for n in group})
+        yield
+    finally:
+        sys.path.remove(src)
+        for m in utkit_modules():
+            del sys.modules[m]
+        sys.modules.update(saved)
+        globals().update(names)
+
+
+def _change(a, b) -> float:
+    """The largest change of an entry of a against b, relative to b's
+    largest entry: 0 when the two are equal bit for bit, inf when they
+    cannot be compared."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return math.inf
+    if a.tobytes() == b.tobytes():
+        return 0.0
+    if a.dtype.kind not in "iufc":
+        return math.inf
+    scale = float(np.max(np.abs(b)))
+    return float(np.max(np.abs(a - b))) / scale if scale > 0 else math.inf
+
+
+def diff(family: str, ours, theirs):
+    """(cases whose records differ, {field: largest change}) between two
+    lists of records() of one family, matched by case."""
+    theirs = {case: (record, passed) for case, record, passed in theirs}
+    moved, worst = [], {}
+    for case, record, passed in ours:
+        other, other_passed = theirs.get(case, ([], passed))
+        names = FIELDS[family] if passed and other_passed else ("exception", "message")
+        if passed != other_passed or len(record) != len(other):
+            changes = {"record": math.inf}
+        else:
+            changes = {name: _change(x, y) for name, x, y in zip(names, record, other)}
+        if any(changes.values()):
+            moved.append(case)
+        for name, change in changes.items():
+            worst[name] = max(worst.get(name, 0.0), change)
+    return moved, worst
 
 
 def main(argv=None) -> int:
@@ -218,8 +301,21 @@ def main(argv=None) -> int:
                         help="seeds per family (default: all)")
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="list every failure in full")
+    parser.add_argument("--compare", metavar="OTHER_CHECKOUT", default=None,
+                        help="print what differs from the records of another checkout")
     args = parser.parse_args(argv)
     for family in FAMILIES:
+        if args.compare is not None:
+            ours = list(records(family, args.seeds))
+            with checkout(args.compare):
+                theirs = list(records(family, args.seeds))
+            moved, worst = diff(family, ours, theirs)
+            print(f"{family}: {len(moved)} cases differ")
+            for name, change in worst.items():
+                print(f"  {name:14s} {change:.3e}")
+            if moved:
+                print("  cases: " + " ".join(moved))
+            continue
         got = fingerprint(family, args.seeds)
         print(f"{family}: {got['passed']}/{got['cases']} passed")
         print(f"  outputs   {got['outputs']}")
