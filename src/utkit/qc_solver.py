@@ -242,8 +242,10 @@ def _taylor_from_tail(tail, count: int):
 def _poly_div_trunc(num, den, count: int):
     if den[0] == 0:
         raise ZeroDivisionError("series division needs a unit constant term")
-    num, den = (np.pad(np.asarray(v, dtype=complex), (0, max(0, count + 1 - len(v))))
-                for v in (num, den))
+    num = np.pad(np.asarray(num, dtype=complex),
+                 (0, max(0, count + 1 - len(num))))
+    den = np.pad(np.asarray(den, dtype=complex),
+                 (0, max(0, count + 1 - len(den))))
     out = np.zeros(count + 1, dtype=complex)
     for k in range(count + 1):
         acc = num[k] - (np.dot(den[1:k + 1], out[k - 1::-1]) if k else 0.0)

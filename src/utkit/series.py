@@ -31,8 +31,6 @@ from .errors import DomainMismatch, IndexOutOfRange, QuadratureFailure
 from .geometry import Domain
 from .quadrature import GridFunction, QuadRule
 
-_polyval = np.polynomial.polynomial.polyval
-
 _SUP_RULE = QuadRule(64, 128)
 
 
@@ -50,7 +48,7 @@ def _weighted_sup(c) -> float:
     over the nodes of _SUP_RULE, or |c_0| / 2 if larger; the weight
     vanishes at the circle."""
     w = _SUP_RULE.nodes(Domain.UNIT_DISK)
-    grid = np.max(_sup_weight() * np.abs(_polyval(w, c)))
+    grid = np.max(_sup_weight() * np.abs(np.polynomial.polynomial.polyval(w, c)))
     return float(max(grid, 0.5 * abs(c[0])))
 
 
@@ -74,7 +72,7 @@ class HoloCoeffs:
         object.__setattr__(self, "coeffs", _as_coeff_array(self.coeffs))
 
     def __call__(self, z):
-        return _polyval(np.asarray(z, dtype=complex), self.coeffs)
+        return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), self.coeffs)
 
     def sup_norm(self) -> float:
         """Sup over the disk of (1 - |z|^2)^2 |phi(z)|: twice _weighted_sup."""
@@ -145,7 +143,7 @@ class BeltramiField:
         z = np.asarray(z, dtype=complex)
         outside = self.domain is Domain.EXTERIOR_DISK
         w = 1.0 / z if outside else z
-        out = -0.5 * np.square(1.0 - np.abs(w) ** 2) * _polyval(
+        out = -0.5 * np.square(1.0 - np.abs(w) ** 2) * np.polynomial.polynomial.polyval(
             np.conj(w), _weights(self.n_values) * self.a)
         return out * np.square(z / np.conj(z)) if outside else out
 

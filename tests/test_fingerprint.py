@@ -68,9 +68,12 @@ def test_digests_do_not_read_the_blas_threads():
 
 def test_compare_with_itself_finds_nothing(capsys):
     # the other checkout's modules come in for the run and go out after it
-    modules = dict(sys.modules)
+    modules, solve = dict(sys.modules), fingerprint.solve_beltrami
+    with fingerprint.checkout(_SCRIPT.parents[1]):
+        assert fingerprint.solve_beltrami is not solve
     assert fingerprint.main(["--compare", str(_SCRIPT.parents[1]), "--seeds", "1"]) == 0
     assert all(sys.modules[name] is module for name, module in modules.items())
+    assert fingerprint.solve_beltrami is solve
     out = capsys.readouterr().out.splitlines()
     heads = [line for line in out if not line.startswith(" ")]
     assert heads == [f"{family}: 0 cases differ" for family in fingerprint.FAMILIES]

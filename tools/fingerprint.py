@@ -85,12 +85,6 @@ RADIAL_KS = (0.05, 0.1, 0.15, 0.2, 0.25)
 SAMPLED_RULE = (32, 64)
 BASIS_PAIRS = tuple((i, j) for i in range(2, 10) for j in range(2, 10))
 RESOLVENT_BOUND = 1e-13
-# the names the families read, by the module of utkit that --compare imports
-# them from in the other checkout
-KIT = {"utkit": ("BeltramiField", "DiskPoint", "Domain", "GridFunction", "QuadRule",
-                 "apply_resolvent"),
-       "utkit.modes": ("gfield_radial", "mode_table"),
-       "utkit.qc_solver": ("solve_beltrami", "welding_decompose")}
 _SOLVED = ("terms", "residual", "ratios", "tail", "disk grid", "exterior grid")
 # the record fields of a passing case, by family; a failure's are
 # ("exception", "message")
@@ -238,24 +232,27 @@ def fingerprint(family: str, seeds: int | None = None) -> dict:
             "cases": cases, "passed": cases - len(failures), "failures": failures}
 
 
+def _in_utkit(name):
+    return name.partition(".")[0] == "utkit"
+
+
 @contextlib.contextmanager
 def checkout(root):
     """Run the families with the utkit of root/src: its modules are
-    imported afresh and bound to the names the families read, and this
-    checkout's modules and names are put back on exit."""
-    utkit_modules = lambda: [m for m in sys.modules if m.partition(".")[0] == "utkit"]
-    saved = {m: sys.modules.pop(m) for m in utkit_modules()}
-    names = {n: globals()[n] for group in KIT.values() for n in group}
+    imported afresh, each name this script imported from utkit is bound to
+    its namesake there, and this checkout's modules and names are put back
+    on exit."""
+    names = {n: v for n, v in globals().items() if _in_utkit(getattr(v, "__module__", ""))}
+    saved = {m: sys.modules.pop(m) for m in list(sys.modules) if _in_utkit(m)}
     src = str(Path(root).resolve() / "src")
     sys.path.insert(0, src)
     try:
-        for module, group in KIT.items():
-            loaded = importlib.import_module(module)
-            globals().update({n: getattr(loaded, n) for n in group})
+        globals().update({n: getattr(importlib.import_module(v.__module__), v.__name__)
+                          for n, v in names.items()})
         yield
     finally:
         sys.path.remove(src)
-        for m in utkit_modules():
+        for m in [m for m in sys.modules if _in_utkit(m)]:
             del sys.modules[m]
         sys.modules.update(saved)
         globals().update(names)
