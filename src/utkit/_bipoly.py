@@ -326,12 +326,13 @@ class BiPoly:
 
 def eval_principal(principal, z):
     """Evaluate sum_p principal[p] * z**(-p-1), the exterior branch of a
-    Cauchy transform."""
+    Cauchy transform; its limit 0 at every point with an infinite part."""
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
     out = np.zeros(z.shape, dtype=complex)
     if principal.size:
-        w = 1.0 / z
+        # 1/z is nan at complex(inf, inf), so infinite points keep w = 0
+        w = np.divide(1.0, z, out=np.zeros(z.shape, dtype=complex), where=~np.isinf(z))
         # Horner in place: on the solver's grids a fresh array per step
         # would be a fresh mapping of pages
         for c in principal[::-1]:

@@ -10,12 +10,12 @@ the truncated solution.
 
 The solver's iterates go through the exact term algebra, which is
 evaluated by the points asked for: on the nodes of a polar rule with one
-FFT per ring (BiPoly.eval_rule), at arbitrary points (_SeriesState.w,
-which QCMap.evaluate and the Model A dressing use) with polyval2d
-(BiPoly.eval).  The series is evaluated on two rules only: each iterate
-once on a coarse probe rule, which gives both its residual and its L2
-norm, and on the solver's rule when the probe passes, which gives the
-residual that is reported and the grid samples.  Grid samples are
+FFT per ring (BiPoly.eval_rule), at other points by _SeriesState.w: the
+principal tail on the disk, unit circle included, and polyval2d
+(BiPoly.eval) outside.  The series is evaluated on two rules only: each
+iterate once on a coarse probe rule, which gives both its residual and
+its L2 norm, and on the solver's rule when the probe passes, which gives
+the residual that is reported and the grid samples.  Grid samples are
 transformed mode by mode in the quadrature module, not here.
 """
 
@@ -99,13 +99,6 @@ def _fit_bipoly(gf: GridFunction, deg_z: int, deg_zbar: int):
     return BiPoly(arr[None], 0, -1).prune(), resid
 
 
-def _tail_derivative(tail):
-    # d/dz of sum t[p] z^(-p-1) re-expressed in the same principal basis
-    out = np.zeros(tail.size + 1, dtype=complex)
-    out[1:] = -(np.arange(tail.size) + 1.0) * tail
-    return out
-
-
 # -- the Neumann series -------------------------------------------------
 
 
@@ -154,12 +147,13 @@ class _SeriesState:
 
     def w(self, z):
         """The Model B map w(z) = 1/w~(1/z) at the points of the array z:
-        through the principal tail inside the disk, where w(0) = 0, and
-        through the interior density outside it; w(inf) = 1/w~(0), from
-        the interior's constant term (INF if 0, as for harmonic fields)."""
+        through the principal tail on the disk, where w(0) = 0, and on the
+        unit circle to within 4 ulps, where the two agree; through the
+        interior density outside; w(inf) = 1/w~(0), from the interior's
+        constant term (INF if 0, as for harmonic fields)."""
         z = np.asarray(z, dtype=complex)
         out = np.zeros(z.shape, dtype=complex)
-        inside = np.abs(z) <= 1.0
+        inside = np.abs(z) <= 1.0 + 4.0 * np.finfo(float).eps
         far = np.isinf(z)
         pick = inside & (z != 0)
         if pick.any():
@@ -264,8 +258,8 @@ def _reflect(z):
 
 def _phi_eval(phi, w, deriv: bool = False):
     """Phi(w) = A1 w exp(h(w)) with h = sum_k c_k w^-k, Phi(INF) = INF, and
-    with deriv also Phi'(w) = Phi(w) (1/w + h'(w)) at finite w; h is a
-    principal part, summed by eval_principal."""
+    with deriv also Phi'(w) = (Phi(w)/w) (1 - sum_k k c_k w^-k) at finite
+    w; both sums are principal parts, summed by eval_principal."""
     a1, c = phi
     w = np.asarray(w, dtype=complex)
     out = np.exp(eval_principal(c, w))
@@ -274,7 +268,7 @@ def _phi_eval(phi, w, deriv: bool = False):
         out *= a1
     if not deriv:
         return np.where(np.isinf(w), INF, out)
-    return out, out * (1.0 / w + eval_principal(_tail_derivative(c), w))
+    return out, out / w * (1.0 - eval_principal(np.arange(1.0, c.size + 1) * c, w))
 
 
 @dataclass(frozen=True)
@@ -394,7 +388,8 @@ def solve_beltrami(mu: BeltramiField, normalization: str = "ModelB",
     disk, normalized per Model A (fixes -1, -i, 1; symmetric under
     circle reflection) or Model B (conformal inside with w(0) = 0,
     w'(0) = 1, w''(0) = 0).  Raises ValueError unless 0 < tol < inf,
-    NonFiniteValue on a non-finite coefficient or sample of mu, and
+    NonFiniteValue on a non-finite coefficient or sample of mu, FitFailure
+    when the fit of a sampled mu misses it by more than tol, and
     NoConvergence past _MAX_TERMS series terms."""
     if normalization not in ("ModelA", "ModelB"):
         raise ValueError(f"unknown normalization {normalization!r}")
@@ -407,6 +402,8 @@ def solve_beltrami(mu: BeltramiField, normalization: str = "ModelB",
         raise NormTooLarge(f"sup|mu| = {sup:.4f} exceeds the solver cap 0.5")
     rule = rule if rule is not None else QuadRule(64, 128)
     nu, fit_resid = _nu_from_mu(mu, _FIT_DEGREES)
+    if not fit_resid <= tol:
+        raise FitFailure(f"sampled dilatation fit residual {fit_resid:.3e} exceeds {tol:.1e}")
     # Model A dressing scales the residual by |mhat' Phi'|, so leave margin
     eff_tol = tol if normalization == "ModelB" else 0.25 * tol
     state, residual, wt, res_field = _run_series(nu, sup, eff_tol, rule, QuadRule(12, 24))

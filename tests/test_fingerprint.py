@@ -91,3 +91,35 @@ def test_compare_finds_a_nudged_record():
     assert moved == [base[2][0]]
     assert 0.0 < worst.pop("exterior grid") < 1e-15
     assert set(worst.values()) == {0.0}
+
+
+def test_compare_exits_1_on_a_nudged_term_count(monkeypatch, capsys):
+    # one more term in one case of this checkout's records: the decision
+    # differs, and so does the exit status
+    records, solve = fingerprint.records, fingerprint.solve_beltrami
+
+    def nudged(family, seeds=None):
+        got = list(records(family, seeds))
+        # checkout() rebinds solve_beltrami while the other checkout runs
+        if family == "radial_sampled" and fingerprint.solve_beltrami is solve:
+            case, record, passed = got[0]
+            got[0] = (case, [record[0] + 1] + record[1:], passed)
+        return got
+
+    monkeypatch.setattr(fingerprint, "records", nudged)
+    assert fingerprint.main(["--compare", str(_SCRIPT.parents[1]), "--seeds", "1"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out.count("  decisions differ: k0.05") == 1
+    assert sum("decisions differ" in line for line in out) == 1
+
+
+def test_decisions_are_the_pass_flag_the_terms_and_the_exception_type():
+    base = [("a", [5, 1e-9], True), ("b", ["NoConvergence", "ratio 0.9"], False),
+            ("c", [7, 1e-9], True)]
+    assert fingerprint.decided(base, base) == []
+    other = [("a", [5, 2e-9], True), ("b", ["NoConvergence", "ratio 0.8"], False)]
+    assert fingerprint.decided(base, other) == ["c"]   # a case the other lacks
+    other.append(("c", ["FitFailure", "fit"], False))
+    assert fingerprint.decided(base, other) == ["c"]
+    other[1] = ("b", ["FitFailure", "ratio 0.9"], False)
+    assert fingerprint.decided(base, other) == ["b", "c"]

@@ -28,7 +28,6 @@ from utkit.qc_solver import (
     _fit_bipoly,
     _phi_eval,
     _run_series,
-    _tail_derivative,
     _taylor_from_tail,
     bers_embedding,
     schwarzian,
@@ -47,6 +46,11 @@ INFINITE_POINTS = (complex(np.inf, 0.0), complex(0.0, -np.inf), complex(np.inf, 
 
 def harmonic(a):
     return BeltramiField.harmonic(Domain.EXTERIOR_DISK, a)
+
+
+def tail_derivative(tail):
+    # d/dz of sum t[p] z^(-p-1), in the same principal basis
+    return np.concatenate([[0.0], -np.arange(1.0, tail.size + 1) * tail])
 
 
 def wirtinger_fd(f, z, h=1e-5):
@@ -120,7 +124,7 @@ class TestCauchyTransform:
                 if abs(z) < 1:
                     p, d = interior.eval(z), interior.dz().eval(z)
                 else:
-                    p, d = eval_principal(tail, z), eval_principal(_tail_derivative(tail), z)
+                    p, d = eval_principal(tail, z), eval_principal(tail_derivative(tail), z)
                 assert abs(cauchy_transform(h, z) - p) <= 1e-12 * top
                 assert abs(beurling_transform(h, z) - d) <= 1e-12 * top
 
@@ -205,7 +209,7 @@ class TestBeurlingTransform:
 
     def test_matches_derivative_of_cauchy(self):
         # the z-derivatives of the closed-form transform, interior.dz()
-        # and _tail_derivative, against finite differences at 50 random
+        # and tail_derivative, against finite differences at 50 random
         # points, interior and exterior alike
         bp = (BiPoly.from_term(1.3 - 0.4j, 2, 1)
               + BiPoly.from_term(0.7j, 0, 3)
@@ -221,7 +225,7 @@ class TestBeurlingTransform:
             val = interior.dz().eval(z)
             assert abs(val - fd) <= 1e-8 * (1.0 + abs(val))
         for z in pts_out:
-            got = eval_principal(_tail_derivative(tail), z)
+            got = eval_principal(tail_derivative(tail), z)
             fd, _ = wirtinger_fd(lambda w: eval_principal(tail, w), complex(z),
                                  h=0.01)
             assert abs(got - fd) <= 1e-8 * (1.0 + abs(got))
@@ -378,6 +382,18 @@ class TestSolveBeltrami:
         # w~ and h per term, the first term included
         assert seen.count(probe) == 2 * (qc.seriesTermCount + 1)
 
+    @pytest.mark.parametrize("shape", [(24, 48), (32, 64)])
+    def test_unrepresentable_sampled_mu_is_a_fit_failure(self, shape):
+        # the monomial fit of 0.2 (z/abs(z))^3 misses its samples by 0.12 and
+        # more; the series then raised NonFiniteValue from BiPoly.cauchy
+        rule = QuadRule(*shape)
+        ext = rule.nodes(Domain.EXTERIOR_DISK)
+        mu = BeltramiField.sampled(
+            GridFunction(rule, Domain.EXTERIOR_DISK, 0.2 * (ext / np.abs(ext)) ** 3))
+        for normalization in ("ModelA", "ModelB"):
+            with pytest.raises(FitFailure, match=r"fit residual 1\.[0-9]*e-01 exceeds"):
+                solve_beltrami(mu, normalization, rule=rule)
+
     def test_domain_checked(self):
         mu = BeltramiField.harmonic(Domain.UNIT_DISK, [0.01])
         with pytest.raises(DomainMismatch):
@@ -428,6 +444,21 @@ class TestSolveBeltrami:
             assert qc.normalizationChecks[name] < 1e-8
         assert qc.normalizationChecks["phiResidual"] < 1e-10
         assert qc.residualNorm < 1e-8
+
+    @pytest.mark.parametrize("shape", [(16, 32), (24, 48), (64, 128)])
+    def test_model_a_takes_one_formula_on_the_circle(self, shape, monkeypatch):
+        # a boundary sample whose modulus rounds above 1 went through
+        # BiPoly.eval, once per solve; now every sample is the principal tail
+        calls = []
+        bipoly_eval = BiPoly.eval
+        monkeypatch.setattr(BiPoly, "eval", lambda *args: calls.append(1) or bipoly_eval(*args))
+        rule = QuadRule(*shape)
+        qc = solve_beltrami(harmonic([0.1 * A2_UNIT, 0.04 * A2_UNIT]), "ModelA", rule=rule)
+        assert not calls
+        m_samples = 4 * rule.angular_count
+        zeta = 1.0 / np.exp(2j * math.pi * np.arange(m_samples) / m_samples)
+        assert np.array_equal(qc._dress["boundary"],
+                              1.0 / (eval_principal(qc._series.tail, zeta) + zeta))
 
     def test_model_a_reflection_symmetry(self):
         mu = harmonic([0.08 * A2_UNIT, 0.05 * A2_UNIT * 1j])
@@ -512,6 +543,24 @@ class TestSolveBeltrami:
             # the reflection exchanges 0 and infinity, bit for bit
             assert np.array_equal(qc.evaluate(np.zeros(1)),
                                   1.0 / np.conj(qc.evaluate(np.full(1, np.inf))))
+
+    @pytest.mark.parametrize("shape", [(16, 32), (24, 48), (64, 128)])
+    @pytest.mark.parametrize("kind", ["harmonic", "radial"])
+    @pytest.mark.parametrize("normalization", ["ModelB", "ModelA"])
+    def test_grid_samples_match_evaluate(self, normalization, kind, shape):
+        # the grid samples come from the rule's own paths: the tail by one
+        # FFT per ring, 1/w~ from the residual pass, the Phi fit on both
+        rule = QuadRule(*shape)
+        ext = rule.nodes(Domain.EXTERIOR_DISK)
+        if kind == "harmonic":
+            mu = harmonic([0.1 * A2_UNIT, 0.04 * A2_UNIT])
+        else:
+            mu = BeltramiField.sampled(
+                GridFunction(rule, Domain.EXTERIOR_DISK, 0.2 * ext / np.conj(ext)))
+        qc = solve_beltrami(mu, normalization, rule=rule)
+        for grid, nodes in zip(qc.grid, (rule.nodes(Domain.UNIT_DISK), ext)):
+            vals = qc.evaluate(nodes)
+            assert np.all(np.abs(vals - grid.values) <= 1e-12 * np.abs(grid.values))
 
     @pytest.mark.parametrize("normalization", ["ModelB", "ModelA"])
     def test_evaluate_at_infinity_off_a_fixed_point(self, normalization):

@@ -48,7 +48,10 @@ the ``utkit`` of this checkout and once with that of ``OTHER_CHECKOUT/src``,
 in this process, and prints per family the cases whose records differ and,
 per record field, the largest change of an entry relative to the largest
 entry of that field in the other checkout (``inf`` when the two cannot be
-compared: a different shape, type or message).
+compared: a different shape, type or message).  It also lists the cases
+whose decision differs: one checkout passes and the other fails, or the two
+stop after different term counts or raise different exception types.  The
+script then exits 1; it exits 0 otherwise.
 """
 
 from __future__ import annotations
@@ -292,6 +295,15 @@ def diff(family: str, ours, theirs):
     return moved, worst
 
 
+def decided(ours, theirs):
+    """The cases whose decision differs between two lists of records() of
+    one family, matched by case: the pass flag or the record's first item
+    (the term count, or the exception type of a failure)."""
+    theirs = {case: (passed, record[:1]) for case, record, passed in theirs}
+    return [case for case, record, passed in ours
+            if theirs.get(case) != (passed, record[:1])]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, default=None,
@@ -301,6 +313,7 @@ def main(argv=None) -> int:
     parser.add_argument("--compare", metavar="OTHER_CHECKOUT", default=None,
                         help="print what differs from the records of another checkout")
     args = parser.parse_args(argv)
+    status = 0
     for family in FAMILIES:
         if args.compare is not None:
             ours = list(records(family, args.seeds))
@@ -312,6 +325,9 @@ def main(argv=None) -> int:
                 print(f"  {name:14s} {change:.3e}")
             if moved:
                 print("  cases: " + " ".join(moved))
+            if changed := decided(ours, theirs):
+                print("  decisions differ: " + " ".join(changed))
+                status = 1
             continue
         got = fingerprint(family, args.seeds)
         print(f"{family}: {got['passed']}/{got['cases']} passed")
@@ -324,7 +340,7 @@ def main(argv=None) -> int:
         if args.verbose:
             for case, kind, msg in got["failures"]:
                 print(f"    {case}: {kind}: {msg}")
-    return 0
+    return status
 
 
 if __name__ == "__main__":
